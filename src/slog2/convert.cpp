@@ -26,6 +26,7 @@
 #include <tuple>
 
 #include "slog2/convert_internal.hpp"
+#include "slog2/frame_codec.hpp"
 #include "slog2/slog2.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -613,18 +614,8 @@ void File::visit_window(
       // whose interval equals the global span, so pruning here is safe.
       continue;
     }
-    if (on_state)
-      for (const auto& s : f->states)
-        if (s.end_time >= a && s.start_time <= b) on_state(s);
-    if (on_event)
-      for (const auto& e : f->events)
-        if (e.time >= a && e.time <= b) on_event(e);
-    if (on_arrow)
-      for (const auto& ar : f->arrows) {
-        const double lo = std::min(ar.start_time, ar.end_time);
-        const double hi = std::max(ar.start_time, ar.end_time);
-        if (hi >= a && lo <= b) on_arrow(ar);
-      }
+    detail::visit_drawables(f->states, f->events, f->arrows, a, b, on_state,
+                            on_event, on_arrow);
     if (f->right) stack.push_back(f->right.get());
     if (f->left) stack.push_back(f->left.get());
   }
@@ -638,59 +629,6 @@ void File::visit_frames(const std::function<void(const Frame&)>& fn) const {
     if (f.right) go(*f.right);
   };
   go(*root);
-}
-
-std::string to_text(const File& file, bool dump_drawables) {
-  std::string out;
-  out += util::strprintf(
-      "SLOG-2  ranks=%d  span=[%.9f, %.9f]  frame_size=%llu\n", file.nranks,
-      file.t_min, file.t_max, static_cast<unsigned long long>(file.frame_size));
-  out += util::strprintf(
-      "  drawables: states=%llu events=%llu arrows=%llu\n",
-      static_cast<unsigned long long>(file.stats.total_states),
-      static_cast<unsigned long long>(file.stats.total_events),
-      static_cast<unsigned long long>(file.stats.total_arrows));
-  out += util::strprintf(
-      "  frames=%llu leaves=%llu depth=%d\n",
-      static_cast<unsigned long long>(file.stats.frames),
-      static_cast<unsigned long long>(file.stats.leaf_frames), file.stats.tree_depth);
-  out += util::strprintf(
-      "  warnings: unmatched_sends=%llu unmatched_recvs=%llu "
-      "unmatched_state_ends=%llu unclosed_states=%llu equal_drawables=%llu "
-      "unknown_event_ids=%llu\n",
-      static_cast<unsigned long long>(file.stats.unmatched_sends),
-      static_cast<unsigned long long>(file.stats.unmatched_recvs),
-      static_cast<unsigned long long>(file.stats.unmatched_state_ends),
-      static_cast<unsigned long long>(file.stats.unclosed_states),
-      static_cast<unsigned long long>(file.stats.equal_drawables),
-      static_cast<unsigned long long>(file.stats.unknown_event_ids));
-  out += "  categories:\n";
-  for (const auto& c : file.categories) {
-    const char* kind = c.kind == CategoryKind::kState   ? "state"
-                       : c.kind == CategoryKind::kEvent ? "event"
-                                                        : "arrow";
-    out += util::strprintf("    [%d] %-6s %-24s %s\n", c.id, kind, c.name.c_str(),
-                           c.color.c_str());
-  }
-  if (dump_drawables) {
-    file.visit_window(
-        file.t_min, file.t_max,
-        [&](const StateDrawable& s) {
-          out += util::strprintf(
-              "  state cat=%d rank=%d [%.9f, %.9f] depth=%d \"%s\"\n", s.category_id,
-              s.rank, s.start_time, s.end_time, s.depth, s.start_text.c_str());
-        },
-        [&](const EventDrawable& e) {
-          out += util::strprintf("  event cat=%d rank=%d t=%.9f \"%s\"\n",
-                                 e.category_id, e.rank, e.time, e.text.c_str());
-        },
-        [&](const ArrowDrawable& a) {
-          out += util::strprintf("  arrow %d->%d [%.9f, %.9f] tag=%d size=%u\n",
-                                 a.src_rank, a.dst_rank, a.start_time, a.end_time,
-                                 a.tag, a.size);
-        });
-  }
-  return out;
 }
 
 }  // namespace slog2

@@ -112,15 +112,30 @@ FrameCache::Owner FrameCache::owner_for_path(const std::filesystem::path& path) 
   long long mtime = 0;
   const auto t = std::filesystem::last_write_time(path, ec);
   if (!ec) mtime = static_cast<long long>(t.time_since_epoch().count());
-  const std::string key = canon.string() + '|' + std::to_string(size) + '|' +
-                          std::to_string(mtime);
-  // A registry (not a hash) so two files can never collide into one owner.
+  const std::string identity = std::to_string(size) + '|' + std::to_string(mtime);
+  // One generation per canonical path (a registry, not a hash, so two files
+  // can never collide into one owner). A rewrite — new size or mtime — gets
+  // a fresh owner, and the previous generation's frames are dropped: no new
+  // navigator can ask for them.
+  struct Generation {
+    std::string identity;
+    Owner owner = 0;
+  };
   static std::mutex reg_mu;
-  static std::map<std::string, Owner>* registry = new std::map<std::string, Owner>();
-  std::lock_guard<std::mutex> lock(reg_mu);
-  auto [it, inserted] = registry->try_emplace(key, 0);
-  if (inserted) it->second = fresh_owner();
-  return it->second;
+  static auto* registry = new std::map<std::string, Generation>();
+  Owner retired = 0;
+  Owner owner = 0;
+  {
+    std::lock_guard<std::mutex> lock(reg_mu);
+    Generation& g = (*registry)[canon.string()];
+    if (g.owner == 0 || g.identity != identity) {
+      retired = g.owner;
+      g = Generation{identity, fresh_owner()};
+    }
+    owner = g.owner;
+  }
+  if (retired != 0) global().erase_owner(retired);
+  return owner;
 }
 
 }  // namespace slog2

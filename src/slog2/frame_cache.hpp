@@ -72,7 +72,9 @@ public:
 
   /// Stable owner id for an on-disk file, keyed by canonical path + size +
   /// mtime: concurrent sessions over the same file share decoded frames,
-  /// and a rewritten file gets a new id instead of stale frames.
+  /// and a rewritten file gets a new id instead of stale frames. Only the
+  /// newest generation of a path stays registered; asking for a new one
+  /// erases the previous generation's frames from the global cache.
   static Owner owner_for_path(const std::filesystem::path& path);
 
 private:

@@ -1,5 +1,6 @@
 #include "slog2/frame_codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -227,6 +228,124 @@ void decode_drawables_v2(util::ByteReader& r,
                      [ap](std::size_t i, double t) { ap[i].start_time = t; });
   decode_time_column(r, na,
                      [ap](std::size_t i, double t) { ap[i].end_time = t; });
+}
+
+namespace {
+
+void write_payload_v1(util::ByteWriter& w, const std::vector<StateDrawable>& states,
+                      const std::vector<EventDrawable>& events,
+                      const std::vector<ArrowDrawable>& arrows) {
+  w.u32(static_cast<std::uint32_t>(states.size()));
+  for (const auto& s : states) {
+    w.i32(s.category_id);
+    w.i32(s.rank);
+    w.f64(s.start_time);
+    w.f64(s.end_time);
+    w.i32(s.depth);
+    w.str(s.start_text);
+    w.str(s.end_text);
+  }
+  w.u32(static_cast<std::uint32_t>(events.size()));
+  for (const auto& e : events) {
+    w.i32(e.category_id);
+    w.i32(e.rank);
+    w.f64(e.time);
+    w.str(e.text);
+  }
+  w.u32(static_cast<std::uint32_t>(arrows.size()));
+  for (const auto& a : arrows) {
+    w.i32(a.src_rank);
+    w.i32(a.dst_rank);
+    w.f64(a.start_time);
+    w.f64(a.end_time);
+    w.i32(a.tag);
+    w.u32(a.size);
+  }
+}
+
+void read_payload_v1(util::ByteReader& r, std::vector<StateDrawable>* states,
+                     std::vector<EventDrawable>* events,
+                     std::vector<ArrowDrawable>* arrows) {
+  // Drawable counts are untrusted; bound each by the remaining bytes at the
+  // smallest conceivable per-entry size before reserving.
+  const std::size_t nstates = r.checked_count(r.u32(), 4);
+  states->reserve(states->size() + nstates);
+  for (std::size_t i = 0; i < nstates; ++i) {
+    StateDrawable s;
+    s.category_id = r.i32();
+    s.rank = r.i32();
+    s.start_time = r.f64();
+    s.end_time = r.f64();
+    s.depth = r.i32();
+    s.start_text = r.str();
+    s.end_text = r.str();
+    states->push_back(std::move(s));
+  }
+  const std::size_t nevents = r.checked_count(r.u32(), 4);
+  events->reserve(events->size() + nevents);
+  for (std::size_t i = 0; i < nevents; ++i) {
+    EventDrawable e;
+    e.category_id = r.i32();
+    e.rank = r.i32();
+    e.time = r.f64();
+    e.text = r.str();
+    events->push_back(std::move(e));
+  }
+  const std::size_t narrows = r.checked_count(r.u32(), 4);
+  arrows->reserve(arrows->size() + narrows);
+  for (std::size_t i = 0; i < narrows; ++i) {
+    ArrowDrawable a;
+    a.src_rank = r.i32();
+    a.dst_rank = r.i32();
+    a.start_time = r.f64();
+    a.end_time = r.f64();
+    a.tag = r.i32();
+    a.size = r.u32();
+    arrows->push_back(a);
+  }
+}
+
+}  // namespace
+
+void write_payload(util::ByteWriter& w, const std::vector<StateDrawable>& states,
+                   const std::vector<EventDrawable>& events,
+                   const std::vector<ArrowDrawable>& arrows, FrameEncoding enc) {
+  if (enc == FrameEncoding::kV2)
+    encode_drawables_v2(w, states, events, arrows);
+  else
+    write_payload_v1(w, states, events, arrows);
+}
+
+void read_payload(const std::uint8_t* data, std::size_t n, FrameEncoding enc,
+                  std::vector<StateDrawable>* states,
+                  std::vector<EventDrawable>* events,
+                  std::vector<ArrowDrawable>* arrows) {
+  util::ByteReader r(data, n);
+  if (enc == FrameEncoding::kV2)
+    decode_drawables_v2(r, states, events, arrows);
+  else
+    read_payload_v1(r, states, events, arrows);
+  if (!r.at_end()) throw util::IoError("slog2: frame payload has trailing bytes");
+}
+
+void visit_drawables(const std::vector<StateDrawable>& states,
+                     const std::vector<EventDrawable>& events,
+                     const std::vector<ArrowDrawable>& arrows, double a, double b,
+                     const std::function<void(const StateDrawable&)>& on_state,
+                     const std::function<void(const EventDrawable&)>& on_event,
+                     const std::function<void(const ArrowDrawable&)>& on_arrow) {
+  if (on_state)
+    for (const auto& s : states)
+      if (s.end_time >= a && s.start_time <= b) on_state(s);
+  if (on_event)
+    for (const auto& e : events)
+      if (e.time >= a && e.time <= b) on_event(e);
+  if (on_arrow)
+    for (const auto& ar : arrows) {
+      const double lo = std::min(ar.start_time, ar.end_time);
+      const double hi = std::max(ar.start_time, ar.end_time);
+      if (hi >= a && lo <= b) on_arrow(ar);
+    }
 }
 
 }  // namespace slog2::detail

@@ -31,8 +31,6 @@
 
 namespace slog2 {
 
-class FrameCache;
-
 enum class CategoryKind : std::uint8_t { kState = 0, kEvent = 1, kArrow = 2 };
 
 /// Frame payload encodings. kV1 is the original fixed-width row format
@@ -47,8 +45,8 @@ const char* to_string(FrameEncoding e);
 /// Parse "v1"/"v2" (throws util::UsageError on anything else).
 FrameEncoding parse_frame_encoding(std::string_view name);
 
-/// Reader-side constraints, threaded through parse()/read_file()/Navigator/
-/// stream_text().
+/// Reader-side constraints, threaded through parse()/read_file()/
+/// validate_file()/Navigator/stream_text().
 struct ReadOptions {
   /// When set, a file whose frame encoding differs is rejected with a named
   /// util::IoError instead of being decoded — this is how
@@ -200,32 +198,36 @@ File convert(const clog2::File& in, const ConvertOptions& opts = {},
 // (per-node interval, tree links, and byte extents) + a payload blob. The
 // directory is what lets a viewer load only the frames its zoom window
 // needs — the defining property of real SLOG-2.
+//
+// Every reader below decodes the header and directory through one decoder
+// and every frame payload through one frame decoder, so they share one
+// verdict: a file one of them rejects, each of them rejects with the same
+// util::IoError message.
 std::vector<std::uint8_t> serialize(const File& file);
 File parse(const std::vector<std::uint8_t>& bytes, const ReadOptions& ro = {});
 File parse(const std::uint8_t* data, std::size_t n, const ReadOptions& ro = {});
 void write_file(const std::filesystem::path& path, const File& file);
-/// Reads through an mmap of the file (page-cache slices, no whole-file
-/// copy) with a transparent buffered fallback; verdicts are identical.
+/// parse() over an mmap of the file (util::MappedFile: page-cache slices,
+/// no whole-file copy; a FIFO or other unmappable input is read once).
 File read_file(const std::filesystem::path& path, const ReadOptions& ro = {});
 
-/// Reader backend selector for validate_file — the format-fuzz suite runs
-/// every corrupted fixture through both and pins that the verdicts match.
-enum class ReadBackend { kMmap, kStream };
-
 /// Validate an on-disk SLOG-2 file end to end (header, directory, every
-/// frame payload) with exactly parse()'s accept/reject behaviour, through
-/// the chosen reader backend. Throws util::IoError on the first defect.
-void validate_file(const std::filesystem::path& path, const ReadOptions& ro = {},
-                   ReadBackend backend = ReadBackend::kMmap);
+/// frame payload) without building a File. Accepts exactly what read_file()
+/// accepts; throws util::IoError on the first defect.
+void validate_file(const std::filesystem::path& path, const ReadOptions& ro = {});
+
+namespace detail {
+struct Directory;  // a decoded header and frame directory (serialize.cpp)
+}  // namespace detail
 
 /// Lazy reader: parses the header and frame directory eagerly but decodes
 /// frame payloads only when a query touches them. This is how Jumpshot
 /// scrolls seamlessly through logs far larger than memory-comfortable: a
 /// zoomed-in window touches O(depth) frames, not all of them.
 ///
-/// The path constructor mmaps the file (with a read-into-buffer fallback),
-/// so frame payloads are decoded straight out of the page cache — the file
-/// bytes are never copied wholesale. Decoded frames live in the process-wide
+/// The path constructor mmaps the file (util::MappedFile), so frame
+/// payloads are decoded straight out of the page cache — the file bytes are
+/// never copied wholesale. Decoded frames live in the process-wide
 /// FrameCache, keyed by file identity: every Navigator (and every
 /// pilot-traced session) over the same file shares one decode of each frame.
 class Navigator {
@@ -236,12 +238,12 @@ public:
   Navigator(const Navigator&) = delete;
   Navigator& operator=(const Navigator&) = delete;
 
-  [[nodiscard]] FrameEncoding encoding() const { return encoding_; }
-  [[nodiscard]] std::int32_t nranks() const { return nranks_; }
-  [[nodiscard]] double t_min() const { return t_min_; }
-  [[nodiscard]] double t_max() const { return t_max_; }
-  [[nodiscard]] const std::vector<Category>& categories() const { return categories_; }
-  [[nodiscard]] const ConvertStats& stats() const { return stats_; }
+  [[nodiscard]] FrameEncoding encoding() const;
+  [[nodiscard]] std::int32_t nranks() const;
+  [[nodiscard]] double t_min() const;
+  [[nodiscard]] double t_max() const;
+  [[nodiscard]] const std::vector<Category>& categories() const;
+  [[nodiscard]] const ConvertStats& stats() const;
   [[nodiscard]] const Category* category(std::int32_t id) const;
 
   /// Visit drawables intersecting [a, b], decoding only the frames whose
@@ -279,7 +281,7 @@ public:
   };
   [[nodiscard]] PreviewView preview_covering(double a, double b);
 
-  [[nodiscard]] std::size_t total_frames() const { return directory_.size(); }
+  [[nodiscard]] std::size_t total_frames() const;
   /// Frames decoded so far (tests assert laziness with this).
   [[nodiscard]] std::size_t frames_decoded() const;
 
@@ -290,34 +292,11 @@ public:
   [[nodiscard]] std::uint64_t window_payload_bytes(double a, double b) const;
 
 private:
-  struct DirEntry {
-    double t0 = 0.0;
-    double t1 = 0.0;
-    std::int32_t depth = 0;
-    std::int32_t left = -1;   // directory index or -1
-    std::int32_t right = -1;
-    std::uint64_t offset = 0;  // into the payload blob
-    std::uint64_t length = 0;
-    Preview preview;  // small; kept eagerly for zoomed-out rendering
-  };
-
-  void load(const std::uint8_t* data, std::size_t n, const ReadOptions& ro);
-
-  util::MappedFile map_;              // path ctor: zero-copy view of the file
-  std::vector<std::uint8_t> bytes_;   // bytes ctor: owned buffer
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t blob_base_ = 0;
-  FrameEncoding encoding_ = FrameEncoding::kV1;
-  std::int32_t nranks_ = 0;
-  double t_min_ = 0.0;
-  double t_max_ = 0.0;
-  std::uint64_t frame_size_ = 0;
-  std::vector<Category> categories_;
-  ConvertStats stats_;
-  std::vector<DirEntry> directory_;  // preorder; [0] is the root (if any)
-  FrameCache* cache_ = nullptr;      // shared decode cache (never null after load)
-  std::uint64_t owner_ = 0;          // our namespace within the cache
+  util::MappedFile map_;             // path ctor: zero-copy view of the file
+  std::vector<std::uint8_t> bytes_;  // bytes ctor: owned buffer
+  // The decoded header and directory; its blob points into map_ or bytes_.
+  std::unique_ptr<const detail::Directory> dir_;
+  std::uint64_t owner_ = 0;          // our namespace within the FrameCache
   bool private_owner_ = false;       // bytes ctor: evict our frames on dtor
   std::unique_ptr<std::atomic<char>[]> touched_;  // frames ever requested here
   std::atomic<std::size_t> touched_count_{0};
@@ -327,14 +306,11 @@ private:
 std::string to_text(const File& file, bool dump_drawables = false);
 
 /// Stream the to_text() dump of an on-disk SLOG-2 file through `sink`,
-/// reading through an mmap of the file when available (page-cache slices,
-/// one frame decoded at a time) and falling back to a fixed-size read
-/// window otherwise — either way RSS stays O(window + directory + largest
-/// frame) instead of O(trace). A full validation pass runs first with
-/// exactly the accept/reject verdict of parse() (every payload is decoded
-/// and bounds-checked), so a corrupt file throws util::IoError before any
-/// output is emitted. Output is byte-identical to
-/// to_text(read_file(path), dump_drawables).
+/// decoding one frame at a time from an mmap of the file, so RSS stays
+/// O(directory + largest frame) instead of O(trace). Every payload is
+/// decoded once before the first line is emitted, so a file read_file()
+/// rejects throws the same util::IoError here with no output. Output is
+/// byte-identical to to_text(read_file(path), dump_drawables).
 void stream_text(const std::filesystem::path& path, bool dump_drawables,
                  const std::function<void(const std::string&)>& sink,
                  const ReadOptions& ro = {});

@@ -237,48 +237,15 @@ void OnlineConverter::maybe_seal() {
   if (tail_bytes_ >= opts_.seal_bytes) seal_tail();
 }
 
-std::vector<std::uint8_t> OnlineConverter::encode_tail() const {
-  // Sealed chunks use the session's frame encoding: the v2 codec is
-  // lossless, so finalize() stays byte-identical to the offline converter
-  // regardless of how many chunks the stream sealed.
-  if (opts_.convert.encoding == slog2::FrameEncoding::kV2) {
-    util::ByteWriter w;
-    detail2::encode_drawables_v2(w, tail_states_, tail_events_, tail_arrows_);
-    return w.take();
-  }
-  util::ByteWriter w;
-  w.u64(tail_states_.size());
-  w.u64(tail_events_.size());
-  w.u64(tail_arrows_.size());
-  for (const auto& s : tail_states_) {
-    w.i32(s.category_id);
-    w.i32(s.rank);
-    w.f64(s.start_time);
-    w.f64(s.end_time);
-    w.i32(s.depth);
-    w.str(s.start_text);
-    w.str(s.end_text);
-  }
-  for (const auto& e : tail_events_) {
-    w.i32(e.category_id);
-    w.i32(e.rank);
-    w.f64(e.time);
-    w.str(e.text);
-  }
-  for (const auto& a : tail_arrows_) {
-    w.i32(a.src_rank);
-    w.i32(a.dst_rank);
-    w.f64(a.start_time);
-    w.f64(a.end_time);
-    w.i32(a.tag);
-    w.u32(a.size);
-  }
-  return w.take();
-}
-
 void OnlineConverter::seal_tail() {
   if (tail_states_.empty() && tail_events_.empty() && tail_arrows_.empty()) return;
-  std::vector<std::uint8_t> bytes = encode_tail();
+  // Sealed chunks use the session's frame encoding through the frame-payload
+  // codec; both encodings are lossless, so finalize() stays byte-identical
+  // to the offline converter however many chunks the stream sealed.
+  util::ByteWriter w;
+  detail2::write_payload(w, tail_states_, tail_events_, tail_arrows_,
+                         opts_.convert.encoding);
+  std::vector<std::uint8_t> bytes = w.take();
   Chunk c;
   c.length = bytes.size();
   c.nstates = tail_states_.size();
@@ -326,47 +293,9 @@ slog2::detail::Collected OnlineConverter::decode_chunk(std::size_t index) {
       throw util::IoError("short read from spill file " + spill_file_.string());
     src = &bytes;
   }
-  util::ByteReader r(*src);
   detail2::Collected out;
-  if (opts_.convert.encoding == slog2::FrameEncoding::kV2) {
-    detail2::decode_drawables_v2(r, &out.states, &out.events, &out.arrows);
-    return out;
-  }
-  const std::size_t ns = r.checked_count(r.u64(), 1);
-  const std::size_t ne = r.checked_count(r.u64(), 1);
-  const std::size_t na = r.checked_count(r.u64(), 1);
-  out.states.reserve(ns);
-  out.events.reserve(ne);
-  out.arrows.reserve(na);
-  for (std::size_t i = 0; i < ns; ++i) {
-    slog2::StateDrawable s;
-    s.category_id = r.i32();
-    s.rank = r.i32();
-    s.start_time = r.f64();
-    s.end_time = r.f64();
-    s.depth = r.i32();
-    s.start_text = r.str();
-    s.end_text = r.str();
-    out.states.push_back(std::move(s));
-  }
-  for (std::size_t i = 0; i < ne; ++i) {
-    slog2::EventDrawable e;
-    e.category_id = r.i32();
-    e.rank = r.i32();
-    e.time = r.f64();
-    e.text = r.str();
-    out.events.push_back(std::move(e));
-  }
-  for (std::size_t i = 0; i < na; ++i) {
-    slog2::ArrowDrawable a;
-    a.src_rank = r.i32();
-    a.dst_rank = r.i32();
-    a.start_time = r.f64();
-    a.end_time = r.f64();
-    a.tag = r.i32();
-    a.size = r.u32();
-    out.arrows.push_back(a);
-  }
+  detail2::read_payload(src->data(), src->size(), opts_.convert.encoding,
+                        &out.states, &out.events, &out.arrows);
   return out;
 }
 
@@ -392,30 +321,14 @@ void OnlineConverter::visit_window(
     const std::function<void(const slog2::StateDrawable&)>& on_state,
     const std::function<void(const slog2::EventDrawable&)>& on_event,
     const std::function<void(const slog2::ArrowDrawable&)>& on_arrow) {
-  // Generic over slog2::Frame (shared cache) and Collected (resident tail).
-  auto scan = [&](const auto& c) {
-    if (on_state)
-      for (const auto& s : c.states)
-        if (s.end_time >= a && s.start_time <= b) on_state(s);
-    if (on_event)
-      for (const auto& e : c.events)
-        if (e.time >= a && e.time <= b) on_event(e);
-    if (on_arrow)
-      for (const auto& ar : c.arrows) {
-        const double lo = std::min(ar.start_time, ar.end_time);
-        const double hi = std::max(ar.start_time, ar.end_time);
-        if (hi >= a && lo <= b) on_arrow(ar);
-      }
-  };
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     if (chunks_[i].t_hi < a || chunks_[i].t_lo > b) continue;
-    scan(*cached_chunk(i));
+    const auto chunk = cached_chunk(i);
+    detail2::visit_drawables(chunk->states, chunk->events, chunk->arrows, a, b,
+                             on_state, on_event, on_arrow);
   }
-  detail2::Collected tail;
-  tail.states = tail_states_;
-  tail.events = tail_events_;
-  tail.arrows = tail_arrows_;
-  scan(tail);
+  detail2::visit_drawables(tail_states_, tail_events_, tail_arrows_, a, b, on_state,
+                           on_event, on_arrow);
 }
 
 slog2::detail::Collected OnlineConverter::collect_all() {

@@ -59,12 +59,6 @@ struct OnlineOptions {
   /// memory in their compact encoded form (tests); pilot-traced always
   /// configures a spill directory so per-session RSS stays bounded.
   std::filesystem::path spill_dir;
-
-  /// Superseded: sealed-chunk decodes now go through the process-wide
-  /// slog2::FrameCache (sized in bytes, shared by every session), so the
-  /// per-session entry count no longer bounds anything. Kept so existing
-  /// configs keep parsing; the value is ignored.
-  std::size_t chunk_cache = 4;
 };
 
 /// Resource accounting for one converter (the bounded-memory guarantee in
@@ -164,7 +158,6 @@ private:
   void seal_tail();
   void drain_heap_until(double limit);
   void account();
-  [[nodiscard]] std::vector<std::uint8_t> encode_tail() const;
   [[nodiscard]] slog2::detail::Collected decode_chunk(std::size_t index);
   [[nodiscard]] std::shared_ptr<const slog2::Frame> cached_chunk(std::size_t index);
   void scan_warn(std::int32_t rank, const std::string& msg);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -13,11 +14,17 @@ namespace fs = std::filesystem;
 std::vector<std::uint8_t> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open for read: " + path.string());
-  std::vector<std::uint8_t> out;
   in.seekg(0, std::ios::end);
   const auto size = in.tellg();
-  if (size < 0) throw IoError("cannot size: " + path.string());
-  out.resize(static_cast<std::size_t>(size));
+  if (size < 0) {
+    // Not seekable (a FIFO, a device): read to EOF instead of sizing.
+    in.clear();
+    std::vector<std::uint8_t> out{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+    if (in.bad()) throw IoError("read error: " + path.string());
+    return out;
+  }
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(size));
   in.seekg(0, std::ios::beg);
   if (size > 0 && !in.read(reinterpret_cast<char*>(out.data()), size))
     throw IoError("short read: " + path.string());

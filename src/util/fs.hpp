@@ -9,7 +9,8 @@
 
 namespace util {
 
-/// Read a whole file as bytes. Throws IoError on failure.
+/// Read a whole file as bytes; a non-seekable input (a FIFO) is read to
+/// EOF. Throws IoError on failure.
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path);
 
 /// Write bytes to a file atomically-ish (write then rename within the same

@@ -1,7 +1,9 @@
 #include "util/mmapio.hpp"
 
+#include <cerrno>
 #include <utility>
 
+#include "util/error.hpp"
 #include "util/fs.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,48 +18,41 @@
 
 namespace util {
 
-std::optional<MappedFile> MappedFile::try_map(
-    const std::filesystem::path& path) {
+MappedFile::MappedFile(const std::filesystem::path& path) {
 #if PILOT_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return std::nullopt;
+  if (fd < 0) throw IoError("cannot open for read: " + path.string());
   struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  const auto len = static_cast<std::size_t>(st.st_size);
-  if (len == 0) {
-    // mmap(0) is EINVAL; an empty regular file is simply an empty view.
-    ::close(fd);
-    return MappedFile{};
-  }
-  void* p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (p == MAP_FAILED) return std::nullopt;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    const auto len = static_cast<std::size_t>(st.st_size);
+    void* p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (p != MAP_FAILED) {
+      ::close(fd);
 #if defined(MADV_WILLNEED)
-  ::madvise(p, len, MADV_WILLNEED);
+      ::madvise(p, len, MADV_WILLNEED);
 #endif
-  MappedFile m;
-  m.map_ = p;
-  m.map_len_ = len;
-  m.data_ = static_cast<const std::uint8_t*>(p);
-  m.size_ = len;
-  return m;
-#else
-  (void)path;
-  return std::nullopt;
-#endif
-}
-
-MappedFile::MappedFile(const std::filesystem::path& path) {
-  if (auto m = try_map(path)) {
-    *this = std::move(*m);
-    return;
+      map_ = p;
+      map_len_ = len;
+      data_ = static_cast<const std::uint8_t*>(p);
+      size_ = len;
+      return;
+    }
   }
-  // Portable fallback (also taken for FIFOs/devices): one read into an
-  // owned buffer. Same bytes, same lifetime guarantees, no zero-copy.
+  // Read the descriptor already open to EOF: reopening the path would block
+  // on a FIFO whose writer has finished and closed.
+  constexpr std::size_t kChunk = 64 * 1024;
+  ssize_t got = 0;
+  do {
+    const std::size_t have = fallback_.size();
+    fallback_.resize(have + kChunk);
+    got = ::read(fd, fallback_.data() + have, kChunk);
+    fallback_.resize(have + (got > 0 ? static_cast<std::size_t>(got) : 0));
+  } while (got > 0 || (got < 0 && errno == EINTR));
+  ::close(fd);
+  if (got < 0) throw IoError("read error: " + path.string());
+#else
   fallback_ = util::read_file(path);
+#endif
   data_ = fallback_.data();
   size_ = fallback_.size();
 }

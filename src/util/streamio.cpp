@@ -75,19 +75,4 @@ void FileByteReader::skip(std::size_t n) {
   pos_ += n;
 }
 
-std::vector<std::uint8_t> read_at(std::ifstream& in, std::size_t offset,
-                                  std::size_t length, const std::string& what) {
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(offset));
-  std::vector<std::uint8_t> out(length);
-  if (length > 0) {
-    in.read(reinterpret_cast<char*>(out.data()),
-            static_cast<std::streamsize>(length));
-    if (static_cast<std::size_t>(in.gcount()) != length)
-      throw IoError(what + ": short read of " + std::to_string(length) +
-                    " bytes at offset " + std::to_string(offset));
-  }
-  return out;
-}
-
 }  // namespace util

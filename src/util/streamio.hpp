@@ -85,11 +85,4 @@ private:
   std::size_t window_ = kDefaultWindow;
 };
 
-/// Read `length` bytes at absolute `offset` from an already-open stream.
-/// Throws IoError on seek/read failure. Used for random access into the
-/// SLOG-2 payload blob (per-frame decode without slurping the blob).
-std::vector<std::uint8_t> read_at(std::ifstream& in, std::size_t offset,
-                                  std::size_t length,
-                                  const std::string& what = "read_at");
-
 }  // namespace util

@@ -5,9 +5,12 @@
 //   * library level: parse() of every truncation length and of single-bit
 //     flips at every byte either succeeds or throws util::Error — never a
 //     crash, never UB (the sanitize presets run this suite too);
-//   * tool level: pilot-clog2print / pilot-slog2print / pilot-replayprint
-//     exit nonzero with a diagnostic exactly when the library rejects the
-//     bytes, and never die on a signal;
+//   * SLOG-2 entry points: parse, read_file, validate_file, the Navigator
+//     and stream_text reach one verdict on every corrupted file;
+//   * tool level: pilot-clog2print / pilot-slog2print / pilot-replayprint /
+//     pilot-jumpshot --windowed / pilot-tracedigest exit nonzero with a
+//     diagnostic exactly when the library rejects the bytes, and never die
+//     on a signal;
 //   * mpe::salvage tolerates torn and corrupted spill streams (that is its
 //     job), and pilot-logsalvage refuses an empty spill set loudly instead
 //     of writing a hollow trace.
@@ -133,47 +136,123 @@ TEST(FuzzParsers, Slog2V2SurvivesTruncationAndBitFlips) {
               [](const std::vector<std::uint8_t>& b) { slog2::parse(b); });
 }
 
-/// validate_file verdict for one backend: empty string = accepted,
-/// otherwise the error text with the reader names normalized away — the
-/// mmap and streaming readers phrase truncation identically except for
-/// their own class name.
-std::string backend_verdict(const std::filesystem::path& path,
-                            slog2::ReadBackend backend) {
+// --- one reader, one verdict ------------------------------------------------
+
+/// What one SLOG-2 entry point says about a file: "" when it accepts,
+/// otherwise its util::IoError message. Any other exception escapes and
+/// fails the test.
+template <typename ReadFn>
+std::string verdict(const ReadFn& read) {
   try {
-    slog2::validate_file(path, {}, backend);
+    read();
     return "";
-  } catch (const util::Error& e) {
-    std::string msg = e.what();
-    for (const char* name :
-         {"MmapByteReader", "FileByteReader", "ByteReader"}) {
-      for (std::size_t pos; (pos = msg.find(name)) != std::string::npos;)
-        msg.replace(pos, std::string(name).size(), "Reader");
-    }
-    return msg;
+  } catch (const util::IoError& e) {
+    return e.what();
   }
 }
 
-/// The mmap-backed reader must agree with the streaming reader on every
-/// corrupted file: same accept/reject decision *and* the same diagnostic
-/// (modulo the reader's own name). This pins the zero-copy path to the
-/// incremental one across truncations, bit flips, and trailing growth.
-void fuzz_backend_parity(const std::string& name) {
+/// Every SLOG-2 entry point must agree on `bytes`: all accept, or all throw
+/// util::IoError with the same message. The Navigator is driven through
+/// every frame, a visit of the whole span and a preview lookup, so a defect
+/// it would only meet lazily still counts.
+void expect_one_verdict(const std::vector<std::uint8_t>& bytes,
+                        const std::filesystem::path& path) {
+  util::write_file(path, bytes);
+  const std::string parsed = verdict([&] { slog2::parse(bytes); });
+  EXPECT_EQ(verdict([&] { slog2::read_file(path); }), parsed) << "read_file";
+  EXPECT_EQ(verdict([&] { slog2::validate_file(path); }), parsed)
+      << "validate_file";
+  EXPECT_EQ(verdict([&] {
+              slog2::Navigator nav(path);
+              for (std::size_t i = 0; i < nav.total_frames(); ++i)
+                (void)nav.frame_ptr(i);
+              std::size_t seen = 0;
+              nav.visit_window(
+                  nav.t_min(), nav.t_max(),
+                  [&](const slog2::StateDrawable&) { ++seen; },
+                  [&](const slog2::EventDrawable&) { ++seen; },
+                  [&](const slog2::ArrowDrawable&) { ++seen; });
+              (void)nav.preview_covering(nav.t_min(), nav.t_max());
+            }),
+            parsed)
+      << "Navigator";
+  EXPECT_EQ(verdict([&] {
+              slog2::stream_text(path, true, [](const std::string&) {});
+            }),
+            parsed)
+      << "stream_text";
+  std::filesystem::remove(path);
+}
+
+std::uint64_t peek(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                   std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i)
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  return v;
+}
+
+/// Hand-made directory defects on a three-frame image (the golden SLOG-2
+/// fixtures hold a single frame): root links that point at the root itself,
+/// below zero, past the directory, or at the left child a second time, and
+/// a root extent that runs one byte into the next payload.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> directory_defects(
+    slog2::FrameEncoding encoding) {
+  const auto frame = [](double t0, double t1, int depth) {
+    auto f = std::make_unique<slog2::Frame>();
+    f->t0 = t0;
+    f->t1 = t1;
+    f->depth = depth;
+    f->states.push_back({1, 0, t0, t1, 0, "start", "end"});
+    return f;
+  };
+  slog2::File file;
+  file.nranks = 1;
+  file.t_max = 4.0;
+  file.encoding = encoding;
+  file.categories = {{1, slog2::CategoryKind::kState, "work", "red", ""}};
+  file.root = frame(0.0, 4.0, 0);
+  file.root->left = frame(0.0, 2.0, 1);
+  file.root->right = frame(2.0, 4.0, 1);
+  const auto bytes = slog2::serialize(file);
+  // The root entry follows the header — what serialize() writes for the
+  // same file without frames, less the empty directory's u32 count and u64
+  // blob length — and the u32 entry count. Its fields t0 t1 depth left
+  // right offset length sit at offsets 0 8 16 20 24 28 36.
+  file.root.reset();
+  const std::size_t root = slog2::serialize(file).size() - 12 + 4;
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> out;
+  out.emplace_back("intact multi-frame image", bytes);
+  const auto add = [&](const std::string& label, std::size_t field,
+                       std::uint64_t v, std::size_t width) {
+    auto b = bytes;
+    for (std::size_t i = 0; i < width; ++i)
+      b[root + field + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    out.emplace_back(label, std::move(b));
+  };
+  add("self link", 20, 0, 4);
+  add("negative link", 24, static_cast<std::uint32_t>(-2), 4);
+  add("link past the directory", 20, 1000000, 4);
+  add("one child linked twice", 24, peek(bytes, root + 20, 4), 4);
+  add("payload with a trailing byte", 36, peek(bytes, root + 36, 8) + 1, 8);
+  return out;
+}
+
+void fuzz_one_verdict(const std::string& name) {
   const auto bytes = load(name);
   ASSERT_FALSE(bytes.empty());
-  const auto dir = std::filesystem::path(::testing::TempDir());
-  const auto path = dir / ("backend_parity_" + name);
-
+  // A fresh path per variant: the shared FrameCache keys decoded frames by
+  // path, size and mtime, so reusing one path would leave the Navigator's
+  // verdict to the filesystem's mtime resolution.
+  util::TempDir dir;
+  std::size_t serial = 0;
   const auto check = [&](const std::vector<std::uint8_t>& variant) {
-    util::write_file(path, variant);
-    const std::string mmap_v = backend_verdict(path, slog2::ReadBackend::kMmap);
-    const std::string stream_v =
-        backend_verdict(path, slog2::ReadBackend::kStream);
-    EXPECT_EQ(mmap_v, stream_v);
+    expect_one_verdict(variant, dir.file(std::to_string(serial++) + ".slog2"));
   };
 
-  check(bytes);  // the pristine fixture must pass both
-  // Every truncation length — a reader observing a shrunken file — then
-  // bit/byte flips, then trailing garbage (a file that grew mid-read).
+  check(bytes);
+  EXPECT_EQ(verdict([&] { slog2::parse(bytes); }), "") << name;
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     SCOPED_TRACE(name + " truncated to " + std::to_string(n));
     check({bytes.begin(), bytes.begin() + static_cast<long>(n)});
@@ -188,19 +267,39 @@ void fuzz_backend_parity(const std::string& name) {
       check(mutated);
     }
   }
-  auto padded = bytes;
-  padded.insert(padded.end(), {0xde, 0xad, 0xbe, 0xef});
-  check(padded);
-
-  std::filesystem::remove(path);
+  {
+    SCOPED_TRACE(name + ": trailing garbage");
+    auto padded = bytes;
+    padded.insert(padded.end(), {0xde, 0xad, 0xbe, 0xef});
+    check(padded);
+  }
 }
 
+void fuzz_directory_defects(slog2::FrameEncoding encoding) {
+  util::TempDir dir;
+  std::size_t serial = 0;
+  for (const auto& [label, variant] : directory_defects(encoding)) {
+    SCOPED_TRACE(std::string(slog2::to_string(encoding)) + ": " + label);
+    const bool intact = label == "intact multi-frame image";
+    EXPECT_EQ(verdict([&] { slog2::parse(variant); }).empty(), intact);
+    expect_one_verdict(variant, dir.file(std::to_string(serial++) + ".slog2"));
+  }
+}
+
+// The golden fixtures, corrupted every way fuzz_one_verdict knows: the
+// mmap-backed readers (read_file, validate_file, the Navigator) and the
+// streaming text dump must each reach the in-memory parse's verdict.
 TEST(FuzzParsers, Slog2MmapAndStreamBackendsAgree) {
-  fuzz_backend_parity("tiny.slog2");
+  fuzz_one_verdict("tiny.slog2");
 }
 
 TEST(FuzzParsers, Slog2V2MmapAndStreamBackendsAgree) {
-  fuzz_backend_parity("tiny.v2.slog2");
+  fuzz_one_verdict("tiny.v2.slog2");
+}
+
+TEST(FuzzParsers, Slog2EntryPointsShareOneVerdict) {
+  fuzz_directory_defects(slog2::FrameEncoding::kV1);
+  fuzz_directory_defects(slog2::FrameEncoding::kV2);
 }
 
 // The v2 payload codec's varint layer, fed hostile encodings directly.
@@ -295,6 +394,7 @@ TEST(FuzzParsers, PrlSurvivesTruncationAndBitFlips) {
 struct ToolCase {
   const char* fixture_name;
   const char* tool_name;
+  const char* args;  // before the input path; the tool runs in a temp dir
   bool (*lib_ok)(const std::vector<std::uint8_t>&);
 };
 
@@ -307,8 +407,10 @@ void fuzz_tool(const ToolCase& tc) {
     const auto path = dir.file("corrupt.bin");
     util::write_file(path, mutated);
     std::string out;
-    const int status =
-        run_status(tool(tc.tool_name) + " " + path.string(), &out);
+    const int status = run_status("cd " + dir.path().string() + " && " +
+                                      tool(tc.tool_name) + " " + tc.args + " " +
+                                      path.string(),
+                                  &out);
     ASSERT_GE(status, 0) << tc.tool_name << " died on a signal (" << label
                          << ")";
     if (tc.lib_ok(mutated)) {
@@ -339,7 +441,7 @@ void fuzz_tool(const ToolCase& tc) {
 }
 
 TEST(FuzzTools, Clog2PrintNeverCrashes) {
-  fuzz_tool({"tiny.clog2", "pilot-clog2print",
+  fuzz_tool({"tiny.clog2", "pilot-clog2print", "",
              [](const std::vector<std::uint8_t>& b) {
                return parses(
                    [](const std::vector<std::uint8_t>& x) { clog2::parse(x); },
@@ -347,22 +449,29 @@ TEST(FuzzTools, Clog2PrintNeverCrashes) {
              }});
 }
 
+bool slog2_ok(const std::vector<std::uint8_t>& b) {
+  return parses([](const std::vector<std::uint8_t>& x) { slog2::parse(x); }, b);
+}
+
 TEST(FuzzTools, Slog2PrintNeverCrashes) {
-  fuzz_tool({"tiny.slog2", "pilot-slog2print",
-             [](const std::vector<std::uint8_t>& b) {
-               return parses(
-                   [](const std::vector<std::uint8_t>& x) { slog2::parse(x); },
-                   b);
-             }});
+  fuzz_tool({"tiny.slog2", "pilot-slog2print", "", slog2_ok});
 }
 
 TEST(FuzzTools, Slog2PrintV2NeverCrashes) {
-  fuzz_tool({"tiny.v2.slog2", "pilot-slog2print",
-             [](const std::vector<std::uint8_t>& b) {
-               return parses(
-                   [](const std::vector<std::uint8_t>& x) { slog2::parse(x); },
-                   b);
-             }});
+  fuzz_tool({"tiny.v2.slog2", "pilot-slog2print", "", slog2_ok});
+}
+
+// The Navigator-backed tools: a windowed render and a digest of the whole
+// span decode every frame of the tiny fixtures, so they too must track the
+// library's verdict and never die on a signal.
+TEST(FuzzTools, JumpshotWindowedNeverCrashes) {
+  fuzz_tool({"tiny.slog2", "pilot-jumpshot", "--windowed", slog2_ok});
+  fuzz_tool({"tiny.v2.slog2", "pilot-jumpshot", "--windowed", slog2_ok});
+}
+
+TEST(FuzzTools, TracedigestNeverCrashes) {
+  fuzz_tool({"tiny.slog2", "pilot-tracedigest", "", slog2_ok});
+  fuzz_tool({"tiny.v2.slog2", "pilot-tracedigest", "", slog2_ok});
 }
 
 // Version-mismatch contract: a v1-only reader (modeled by forcing
@@ -396,7 +505,7 @@ TEST(FuzzTools, Slog2PrintForcedEncodingMismatchFailsLoudly) {
 }
 
 TEST(FuzzTools, ReplayPrintNeverCrashes) {
-  fuzz_tool({"tiny.prl", "pilot-replayprint",
+  fuzz_tool({"tiny.prl", "pilot-replayprint", "",
              [](const std::vector<std::uint8_t>& b) {
                return parses(
                    [](const std::vector<std::uint8_t>& x) { replay::parse(x); },

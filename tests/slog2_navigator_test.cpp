@@ -2,6 +2,7 @@
 // SLOG-2's defining capability.
 #include <gtest/gtest.h>
 
+#include "slog2/frame_cache.hpp"
 #include "slog2/slog2.hpp"
 #include "util/fs.hpp"
 #include "util/prng.hpp"
@@ -144,6 +145,37 @@ TEST(Navigator, RejectsCorruptDirectory) {
   // byte only garbles popup text, which round-trips as data. Accept both,
   // but never crash.
   SUCCEED() << (threw ? "rejected" : "tolerated as data");
+}
+
+/// Decode every frame of `path` through a fresh Navigator; returns what one
+/// generation of the file weighs in the FrameCache (payload bytes plus one
+/// Frame per entry, the weight frame_ptr charges).
+std::size_t decode_all(const std::filesystem::path& path) {
+  slog2::Navigator nav(path);
+  for (std::size_t i = 0; i < nav.total_frames(); ++i) (void)nav.frame_ptr(i);
+  return static_cast<std::size_t>(nav.window_payload_bytes(nav.t_min(), nav.t_max())) +
+         nav.total_frames() * sizeof(slog2::Frame);
+}
+
+TEST(FrameCache, RewriteRetiresPreviousGeneration) {
+  auto& cache = slog2::FrameCache::global();
+  cache.clear();
+  util::TempDir dir;
+  const auto path = dir.file("t.slog2");
+  slog2::write_file(path, small_frames(300, 1));
+  const std::size_t first = decode_all(path);
+  EXPECT_EQ(cache.stats().bytes, first);
+  // Rewrite the same path with a different trace (a new size, so a new
+  // identity whatever the mtime resolution): only the new generation's
+  // frames may stay resident.
+  slog2::write_file(path, small_frames(400, 2));
+  const std::size_t second = decode_all(path);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(cache.stats().bytes, second);
+  // Reopening the unchanged file shares the resident generation.
+  EXPECT_EQ(decode_all(path), second);
+  EXPECT_EQ(cache.stats().bytes, second);
+  cache.clear();
 }
 
 TEST(Navigator, EmptyTrace) {

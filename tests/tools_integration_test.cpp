@@ -198,6 +198,30 @@ TEST(Tools, StreamedPrintersMatchLibraryText) {
   EXPECT_EQ(out, slog2::to_text(slog2::read_file(slog), true));
 }
 
+TEST(Tools, Slog2PrintReadsFifo) {
+  // A FIFO can be neither mapped nor reopened once its writer has finished:
+  // the reader must drain the descriptor it opened. Both sides run under
+  // timeout, so a reader that blocks fails here instead of hanging.
+  util::TempDir dir;
+  const std::string fixture = std::string(PILOT_FIXTURE_DIR) + "/tiny.slog2";
+  const std::string fifo = dir.file("in.fifo").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  std::string expected;
+  ASSERT_EQ(run_status(tool("pilot-slog2print") + " " + fixture + " --drawables",
+                       &expected),
+            0)
+      << expected;
+  std::string out;
+  EXPECT_EQ(run_status("{ timeout 10 sh -c 'cat " + fixture + " > " + fifo +
+                           "' & timeout 10 " + tool("pilot-slog2print") + " " +
+                           fifo + " --drawables; }",
+                       &out),
+            0)
+      << out;
+  EXPECT_EQ(out, expected);
+}
+
 TEST(Tools, BadInputsFailGracefully) {
   util::TempDir dir;
   util::write_file(dir.file("junk.clog2"), std::string("this is not a trace"));

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Configure, build, and test the whole tree under UndefinedBehaviorSanitizer
-# (the cmake preset "sanitize-undefined"), then run the record/replay tests,
-# the fault-chaos matrix, and the threaded clog2->slog2 converter under
-# ThreadSanitizer ("sanitize-thread") — the replay engine and the fault
-# injector coordinate every rank thread, and the converter fans work out
-# across a worker pool, so their tests are the highest-value TSan targets.
+# (the cmake preset "sanitize-undefined"); run the SLOG-2 readers and their
+# hostile-input suites under AddressSanitizer ("sanitize-address"); then run
+# the record/replay tests, the fault-chaos matrix, and the threaded
+# clog2->slog2 converter under ThreadSanitizer ("sanitize-thread") — the
+# replay engine and the fault injector coordinate every rank thread, and
+# the converter fans work out across a worker pool, so their tests are the
+# highest-value TSan targets.
 # (The PipelineScale suite converts with --threads=8; its million-event
 # PipelineLarge sibling stays out of the sanitizer legs by name.)
 # Any sanitizer report fails the run.
@@ -19,6 +21,20 @@ cmake --build --preset sanitize-undefined -j "$(nproc)"
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --preset sanitize-undefined "$@"
+
+# 'FuzzParsers|FuzzTools' feed every truncation and byte flip of the golden
+# SLOG-2 fixtures (and hand-made directory defects) to parse, read_file,
+# validate_file, the Navigator, stream_text and the print/render/digest
+# tools; 'Slog2|Navigator|FrameCache' and 'Traced\.' cover the mmap-backed
+# readers, the shared frame cache and the online converter's sealed chunks.
+# An out-of-bounds read in a reader is a report here, not a lucky pass.
+cmake --preset sanitize-address
+cmake --build --preset sanitize-address -j "$(nproc)" \
+  --target fault_fuzz_test slog2_test query_core_test query_parallel_test \
+  jumpshot_test traced_test tools_test
+ASAN_OPTIONS="halt_on_error=1" \
+  ctest --preset sanitize-address \
+  -R 'FuzzParsers|FuzzTools|Slog2|Navigator|FrameCache|Traced\.' "$@"
 
 cmake --preset sanitize-thread
 cmake --build --preset sanitize-thread -j "$(nproc)" \
