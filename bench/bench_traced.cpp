@@ -9,7 +9,10 @@
 //   - peak live bytes for the single session (the bounded-memory claim —
 //     the bench fails the run when it exceeds a quarter of the stream),
 //   - a correctness canary: finalize() must match the offline converter
-//     byte for byte, or the bench exits nonzero.
+//     byte for byte, or the bench exits nonzero,
+//   - a render-growth canary: a fixed 0.5 ms window at the live edge,
+//     rendered at 25% and at 100% of the stream, must not cost more than 3x
+//     as much late as early (render is O(window), not O(stream so far)).
 //
 // `--small=EVENTS` overrides the trace size; `--sessions=0` skips the
 // multi-session leg (not used by CI, handy when profiling the converter).
@@ -23,6 +26,7 @@
 #include "query/slog2_rollup.hpp"
 #include "slog2/slog2.hpp"
 #include "traced/online_convert.hpp"
+#include "traced/service.hpp"
 #include "traced/session.hpp"
 #include "tracegen/tracegen.hpp"
 #include "util/fs.hpp"
@@ -48,17 +52,14 @@ struct IngestResult {
   std::vector<std::uint8_t> slog2_bytes;
 };
 
-/// One full session: chunked feed, finalize, serialize.
-IngestResult ingest_once(const std::vector<std::uint8_t>& bytes,
-                         const traced::OnlineOptions& oo, std::size_t chunk) {
-  IngestResult out;
-  const auto t0 = std::chrono::steady_clock::now();
-  clog2::StreamReader reader;
-  traced::OnlineConverter conv(oo);
-  bool begun = false;
+/// Feed bytes [from, to) of a CLOG-2 stream through `reader` into `conv`
+/// in socket-sized chunks, beginning the converter once the header is read.
+void feed_range(clog2::StreamReader& reader, traced::OnlineConverter& conv,
+                bool& begun, const std::vector<std::uint8_t>& bytes, std::size_t from,
+                std::size_t to, std::size_t chunk) {
   clog2::Record rec;
-  for (std::size_t off = 0; off < bytes.size(); off += chunk) {
-    reader.feed(bytes.data() + off, std::min(chunk, bytes.size() - off));
+  for (std::size_t off = from; off < to; off += chunk) {
+    reader.feed(bytes.data() + off, std::min(chunk, to - off));
     for (;;) {
       const auto st = reader.next(&rec);
       if (reader.header_done() && !begun) {
@@ -69,6 +70,32 @@ IngestResult ingest_once(const std::vector<std::uint8_t>& bytes,
       conv.push(rec);
     }
   }
+}
+
+/// Median time to render the newest `window` seconds below the frontier.
+double live_edge_render_ms(traced::OnlineConverter& conv, double window) {
+  jumpshot::RenderOptions ro;
+  ro.t1 = conv.admitted_frontier();
+  ro.t0 = std::max(0.0, ro.t1 - window);
+  std::vector<double> ms;
+  for (int rep = 0; rep < 9; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string svg = traced::render_live(conv, ro);
+    ms.push_back(ms_since(t0));
+    if (svg.empty()) std::abort();
+  }
+  return util::median(ms);
+}
+
+/// One full session: chunked feed, finalize, serialize.
+IngestResult ingest_once(const std::vector<std::uint8_t>& bytes,
+                         const traced::OnlineOptions& oo, std::size_t chunk) {
+  IngestResult out;
+  const auto t0 = std::chrono::steady_clock::now();
+  clog2::StreamReader reader;
+  traced::OnlineConverter conv(oo);
+  bool begun = false;
+  feed_range(reader, conv, begun, bytes, 0, bytes.size(), chunk);
   out.usage = conv.usage();
   slog2::File f = conv.finalize();
   out.slog2_bytes = slog2::serialize(f);
@@ -173,21 +200,8 @@ int main(int argc, char** argv) {
     clog2::StreamReader reader;
     traced::OnlineConverter conv(oo);
     bool begun = false;
-    clog2::Record rec;
     // Feed ~90% of the stream, leaving the session live.
-    const std::size_t cut = bytes.size() * 9 / 10;
-    for (std::size_t off = 0; off < cut; off += kChunk) {
-      reader.feed(bytes.data() + off, std::min(kChunk, cut - off));
-      for (;;) {
-        const auto st = reader.next(&rec);
-        if (reader.header_done() && !begun) {
-          conv.begin(reader.nranks());
-          begun = true;
-        }
-        if (st != clog2::StreamReader::Status::kRecord) break;
-        conv.push(rec);
-      }
-    }
+    feed_range(reader, conv, begun, bytes, 0, bytes.size() * 9 / 10, kChunk);
     const double hi = conv.admitted_frontier();
     std::vector<double> query_ms;
     for (int i = 0; i < 32; ++i) {
@@ -207,6 +221,32 @@ int main(int argc, char** argv) {
     const double med = util::median(query_ms);
     std::printf("live query     : %.2f ms median (window = trace/10)\n", med);
     report.set("query_ms_median", med);
+  }
+
+  // --- Render-growth canary: one 0.5 ms live-edge window, early and late. --
+  {
+    constexpr double kWindow = 0.0005;
+    clog2::StreamReader reader;
+    traced::OnlineConverter conv(oo);
+    bool begun = false;
+    const std::size_t quarter = bytes.size() / 4;
+    feed_range(reader, conv, begun, bytes, 0, quarter, kChunk);
+    const double first = live_edge_render_ms(conv, kWindow);
+    feed_range(reader, conv, begun, bytes, quarter, bytes.size(), kChunk);
+    const double last = live_edge_render_ms(conv, kWindow);
+    std::printf("live render    : %.2f ms at 25%%, %.2f ms at 100%% (0.5 ms window)\n",
+                first, last);
+    report.set("render_ms_first", first);
+    report.set("render_ms_last", last);
+    const bool flat = last <= 3.0 * first;
+    report.set("render_cost_flat", flat);
+    if (!flat) {
+      std::fprintf(stderr,
+                   "FAIL: live render of a fixed window grew %.1fx with the stream "
+                   "(%.2f -> %.2f ms)\n",
+                   last / first, first, last);
+      return 1;
+    }
   }
 
   report.write();

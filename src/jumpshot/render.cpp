@@ -5,8 +5,9 @@
 #include <limits>
 #include <map>
 
-#include "jumpshot/stats.hpp"
+#include "slog2/convert_internal.hpp"
 #include "util/color.hpp"
+#include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/strings.hpp"
 
@@ -50,10 +51,14 @@ const slog2::Category* find_category(const std::vector<slog2::Category>& cats,
   return nullptr;
 }
 
+std::string hex_color(const slog2::Category& c) {
+  return util::is_known_color(c.color) ? util::color_by_name(c.color).to_hex()
+                                       : "#888888";
+}
+
 std::string color_of(const std::vector<slog2::Category>& cats, std::int32_t cat) {
   const auto* c = find_category(cats, cat);
-  if (c == nullptr || !util::is_known_color(c->color)) return "#888888";
-  return util::color_by_name(c->color).to_hex();
+  return c ? hex_color(*c) : "#888888";
 }
 
 std::string name_of(const std::vector<slog2::Category>& cats, std::int32_t cat) {
@@ -176,55 +181,44 @@ void draw_state_preview(std::string& svg, const std::vector<slog2::Category>& ca
       kMarginLeft, y, lay.plot_width, lay.row_height, kAxisColor);
 }
 
-using StateCb = std::function<void(const slog2::StateDrawable&)>;
-using EventCb = std::function<void(const slog2::EventDrawable&)>;
-using ArrowCb = std::function<void(const slog2::ArrowDrawable&)>;
-
-// What the timeline core needs from a trace; satisfied by both the fully
-// in-memory slog2::File and the lazily-decoding slog2::Navigator.
-struct RenderSource {
-  std::int32_t nranks = 0;
-  double t_min = 0.0;
-  double t_max = 0.0;
-  const std::vector<slog2::Category>* categories = nullptr;
-  std::function<void(double, double, const StateCb&, const EventCb&,
-                     const ArrowCb&)>
-      visit;
-};
-
-// Appends the legend block; receives the y where the plot area ended.
-using LegendFn = std::function<void(std::string&, int)>;
-
-std::string render_timeline(const RenderSource& src, const RenderOptions& opts,
-                            const LegendFn& legend_fn) {
-  const auto& cats = *src.categories;
+Layout make_layout(const RenderSource& src, const RenderOptions& opts, double a,
+                   double b) {
   Layout lay;
-  lay.a = std::isnan(opts.t0) ? src.t_min : opts.t0;
-  lay.b = std::isnan(opts.t1) ? src.t_max : opts.t1;
+  lay.a = a;
+  lay.b = b;
   if (lay.b <= lay.a) lay.b = lay.a + 1e-9;
   lay.plot_width = std::max(opts.width - kMarginLeft - kMarginRight, 100);
   lay.nranks = std::max(src.nranks, 1);
   lay.row_height = opts.row_height;
   lay.row_gap = opts.row_gap;
+  return lay;
+}
 
+int plot_bottom_of(const Layout& lay) {
+  return kMarginTop + lay.nranks * (lay.row_height + lay.row_gap);
+}
+
+// Opens the document: svg element, canvas, arrowhead marker (timeline only;
+// the outline form has no arrows and carries the "preview-lod" marker
+// instead), title and time axis.
+std::string open_svg(const RenderSource& src, const RenderOptions& opts,
+                     const Layout& lay, bool outline) {
   const int legend_lines =
-      opts.draw_legend ? static_cast<int>(cats.size()) + 1 : 0;
-  const int plot_bottom =
-      kMarginTop + lay.nranks * (lay.row_height + lay.row_gap);
-  const int height = plot_bottom + legend_lines * kLegendRow + kMarginBottom;
-
+      opts.draw_legend ? static_cast<int>(src.categories->size()) + 1 : 0;
+  const int height = plot_bottom_of(lay) + legend_lines * kLegendRow + kMarginBottom;
   std::string svg;
   svg += util::strprintf(
       "<svg xmlns='http://www.w3.org/2000/svg' width='%d' height='%d' "
       "viewBox='0 0 %d %d'>\n",
       opts.width, height, opts.width, height);
+  if (outline) svg += "<!-- preview-lod -->\n";
   svg += util::strprintf("<rect width='%d' height='%d' fill='%s'/>\n", opts.width,
                          height, kCanvasColor);
-  svg +=
-      "<defs><marker id='arrowhead' markerWidth='7' markerHeight='6' refX='6' "
-      "refY='3' orient='auto'><polygon points='0 0, 7 3, 0 6' fill='white'/>"
-      "</marker></defs>\n";
-
+  if (!outline)
+    svg +=
+        "<defs><marker id='arrowhead' markerWidth='7' markerHeight='6' refX='6' "
+        "refY='3' orient='auto'><polygon points='0 0, 7 3, 0 6' fill='white'/>"
+        "</marker></defs>\n";
   if (!opts.title.empty()) {
     svg += util::strprintf(
         "<text x='%d' y='18' fill='%s' font-size='14' font-family='sans-serif'>"
@@ -232,6 +226,52 @@ std::string render_timeline(const RenderSource& src, const RenderOptions& opts,
         kMarginLeft, kAxisColor, util::xml_escape(opts.title).c_str());
   }
   draw_axis(svg, lay);
+  return svg;
+}
+
+// The legend block below the plot: the source's table (count, inclusive,
+// exclusive) when it has one, otherwise a swatch per category (a Navigator
+// or live window cannot total the whole trace without decoding it).
+void draw_legend(std::string& svg, const RenderSource& src, int plot_bottom) {
+  int y = plot_bottom + kLegendRow;
+  svg += util::strprintf(
+      "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
+      "%s</text>\n",
+      kMarginLeft, y, kAxisColor,
+      src.legend ? "legend: name  count  incl  excl" : "legend: name");
+  auto swatch = [&](const slog2::Category& c) {
+    y += kLegendRow;
+    svg += util::strprintf(
+        "<rect x='%d' y='%d' width='12' height='12' fill='%s' stroke='%s' "
+        "stroke-width='0.5'/>\n",
+        kMarginLeft, y - 10, hex_color(c).c_str(), kAxisColor);
+  };
+  if (src.legend == nullptr) {
+    for (const auto& c : *src.categories) {
+      swatch(c);
+      svg += util::strprintf(
+          "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
+          "%s</text>\n",
+          kMarginLeft + 18, y, kAxisColor, util::xml_escape(c.name).c_str());
+    }
+    return;
+  }
+  for (const auto& e : *src.legend) {
+    swatch(e.category);
+    svg += util::strprintf(
+        "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
+        "%-24s %8llu  %s  %s</text>\n",
+        kMarginLeft + 18, y, kAxisColor, util::xml_escape(e.category.name).c_str(),
+        static_cast<unsigned long long>(e.count),
+        util::human_seconds(e.inclusive).c_str(),
+        util::human_seconds(e.exclusive).c_str());
+  }
+}
+
+std::string render_timeline(const RenderSource& src, const RenderOptions& opts,
+                            const Layout& lay) {
+  const auto& cats = *src.categories;
+  std::string svg = open_svg(src, opts, lay, /*outline=*/false);
 
   // Rank labels and row baselines.
   for (int r = 0; r < lay.nranks; ++r) {
@@ -320,75 +360,36 @@ std::string render_timeline(const RenderSource& src, const RenderOptions& opts,
     }
   }
 
-  if (opts.draw_legend && legend_fn) legend_fn(svg, plot_bottom);
-
+  if (opts.draw_legend) draw_legend(svg, src, plot_bottom_of(lay));
   svg += "</svg>\n";
   return svg;
 }
 
-// Swatch-only legend (Navigator renders: per-category durations would
-// require decoding the whole file, which is the thing we're avoiding).
-void swatch_legend(std::string& svg, int plot_bottom,
-                   const std::vector<slog2::Category>& cats) {
-  int y = plot_bottom + kLegendRow;
-  svg += util::strprintf(
-      "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
-      "legend: name</text>\n",
-      kMarginLeft, y, kAxisColor);
-  for (const auto& c : cats) {
-    y += kLegendRow;
-    const std::string color = util::is_known_color(c.color)
-                                  ? util::color_by_name(c.color).to_hex()
-                                  : "#888888";
-    svg += util::strprintf(
-        "<rect x='%d' y='%d' width='12' height='12' fill='%s' stroke='%s' "
-        "stroke-width='0.5'/>\n",
-        kMarginLeft, y - 10, color.c_str(), kAxisColor);
-    svg += util::strprintf(
-        "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
-        "%s</text>\n",
-        kMarginLeft + 18, y, kAxisColor, util::xml_escape(c.name).c_str());
-  }
-}
-
-// Zoomed-out fallback: no frame payload is decoded — the covering frame's
-// stored preview histogram is striped across the plot area. The histogram
-// aggregates all ranks (previews carry no rank axis), so the band spans
+// Zoomed-out outline form of the whole window: no drawable is drawn, only
+// category stripes from a preview histogram — the source's stored covering
+// preview (a Navigator decodes no payload at all), or one filled over the
+// window in a single visit. Previews carry no rank axis, so the band spans
 // every timeline row.
-std::string render_preview_lod(slog2::Navigator& nav, const RenderOptions& opts) {
-  const auto& cats = nav.categories();
-  Layout lay;
-  lay.a = std::isnan(opts.t0) ? nav.t_min() : opts.t0;
-  lay.b = std::isnan(opts.t1) ? nav.t_max() : opts.t1;
-  if (lay.b <= lay.a) lay.b = lay.a + 1e-9;
-  lay.plot_width = std::max(opts.width - kMarginLeft - kMarginRight, 100);
-  lay.nranks = std::max(nav.nranks(), 1);
-  lay.row_height = opts.row_height;
-  lay.row_gap = opts.row_gap;
+std::string render_outline(const RenderSource& src, const RenderOptions& opts,
+                           const Layout& lay) {
+  const auto& cats = *src.categories;
+  std::string svg = open_svg(src, opts, lay, /*outline=*/true);
 
-  const int legend_lines =
-      opts.draw_legend ? static_cast<int>(cats.size()) + 1 : 0;
-  const int plot_bottom =
-      kMarginTop + lay.nranks * (lay.row_height + lay.row_gap);
-  const int height = plot_bottom + legend_lines * kLegendRow + kMarginBottom;
-
-  std::string svg;
-  svg += util::strprintf(
-      "<svg xmlns='http://www.w3.org/2000/svg' width='%d' height='%d' "
-      "viewBox='0 0 %d %d'>\n",
-      opts.width, height, opts.width, height);
-  svg += "<!-- preview-lod -->\n";
-  svg += util::strprintf("<rect width='%d' height='%d' fill='%s'/>\n", opts.width,
-                         height, kCanvasColor);
-  if (!opts.title.empty()) {
-    svg += util::strprintf(
-        "<text x='%d' y='18' fill='%s' font-size='14' font-family='sans-serif'>"
-        "%s</text>\n",
-        kMarginLeft, kAxisColor, util::xml_escape(opts.title).c_str());
+  slog2::Preview filled;
+  slog2::Navigator::PreviewView pv;
+  if (src.preview) {
+    pv = src.preview(lay.a, lay.b);
+  } else {
+    filled.nbuckets = slog2::ConvertOptions{}.preview_buckets;
+    src.visit(
+        lay.a, lay.b,
+        [&](const slog2::StateDrawable& s) {
+          slog2::detail::add_occupancy(filled, lay.a, lay.b, s.category_id,
+                                       s.start_time, s.end_time);
+        },
+        nullptr, [&](const slog2::ArrowDrawable&) { ++filled.arrow_count; });
+    pv = slog2::Navigator::PreviewView{lay.a, lay.b, &filled};
   }
-  draw_axis(svg, lay);
-
-  const auto pv = nav.preview_covering(lay.a, lay.b);
   const double band_top = lay.row_top(0);
   const double band_h =
       lay.row_top(lay.nranks) - lay.row_gap - band_top;
@@ -423,8 +424,9 @@ std::string render_preview_lod(slog2::Navigator& nav, const RenderOptions& opts)
     }
     svg += util::strprintf(
         "<text x='%d' y='%.1f' fill='%s' font-size='11' font-family='monospace'>"
-        "outline form: %u arrows in covering frame</text>\n",
-        kMarginLeft, band_top - 4, kAxisColor, pv.preview->arrow_count);
+        "outline form: %u arrows in %s</text>\n",
+        kMarginLeft, band_top - 4, kAxisColor, pv.preview->arrow_count,
+        src.preview ? "covering frame" : "window");
   }
   // Outline marking the summarized interval.
   svg += util::strprintf(
@@ -432,49 +434,39 @@ std::string render_preview_lod(slog2::Navigator& nav, const RenderOptions& opts)
       "stroke-width='0.8'/>\n",
       kMarginLeft, band_top, lay.plot_width, band_h, kAxisColor);
 
-  if (opts.draw_legend) swatch_legend(svg, plot_bottom, cats);
+  if (opts.draw_legend) draw_legend(svg, src, plot_bottom_of(lay));
   svg += "</svg>\n";
   return svg;
 }
 
 }  // namespace
 
+std::string render_svg(const RenderSource& src, const RenderOptions& opts) {
+  if (opts.width < 1 || opts.width > kMaxRenderWidth)
+    throw util::UsageError(util::strprintf(
+        "render width %d px is outside [1, %d]", opts.width, kMaxRenderWidth));
+  const double a = std::isnan(opts.t0) ? src.t_min : opts.t0;
+  const double b = std::isnan(opts.t1) ? src.t_max : opts.t1;
+  const Layout lay = make_layout(src, opts, a, b);
+  if (src.payload_bytes && src.payload_bytes(a, b) > opts.lod_payload_budget)
+    return render_outline(src, opts, lay);
+  return render_timeline(src, opts, lay);
+}
+
 std::string render_svg(const slog2::File& file, const RenderOptions& opts) {
+  std::vector<LegendEntry> table;
+  if (opts.draw_legend) table = legend(file, LegendSort::kByInclusive);
   RenderSource src;
   src.nranks = file.nranks;
   src.t_min = file.t_min;
   src.t_max = file.t_max;
   src.categories = &file.categories;
-  src.visit = [&file](double a, double b, const StateCb& on_state,
-                      const EventCb& on_event, const ArrowCb& on_arrow) {
+  src.visit = [&file](double a, double b, const StateFn& on_state,
+                      const EventFn& on_event, const ArrowFn& on_arrow) {
     file.visit_window(a, b, on_state, on_event, on_arrow);
   };
-  return render_timeline(src, opts, [&file](std::string& svg, int plot_bottom) {
-    const auto entries = legend(file, LegendSort::kByInclusive);
-    int y = plot_bottom + kLegendRow;
-    svg += util::strprintf(
-        "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
-        "legend: name  count  incl  excl</text>\n",
-        kMarginLeft, y, kAxisColor);
-    for (const auto& e : entries) {
-      y += kLegendRow;
-      const std::string color = util::is_known_color(e.category.color)
-                                    ? util::color_by_name(e.category.color).to_hex()
-                                    : "#888888";
-      svg += util::strprintf(
-          "<rect x='%d' y='%d' width='12' height='12' fill='%s' stroke='%s' "
-          "stroke-width='0.5'/>\n",
-          kMarginLeft, y - 10, color.c_str(), kAxisColor);
-      svg += util::strprintf(
-          "<text x='%d' y='%d' fill='%s' font-size='12' font-family='monospace'>"
-          "%-24s %8llu  %s  %s</text>\n",
-          kMarginLeft + 18, y, kAxisColor,
-          util::xml_escape(e.category.name).c_str(),
-          static_cast<unsigned long long>(e.count),
-          util::human_seconds(e.inclusive).c_str(),
-          util::human_seconds(e.exclusive).c_str());
-    }
-  });
+  src.legend = &table;
+  return render_svg(src, opts);
 }
 
 void render_to_file(const std::filesystem::path& path, const slog2::File& file,
@@ -483,24 +475,20 @@ void render_to_file(const std::filesystem::path& path, const slog2::File& file,
 }
 
 std::string render_svg(slog2::Navigator& nav, const RenderOptions& opts) {
-  const double a = std::isnan(opts.t0) ? nav.t_min() : opts.t0;
-  const double b = std::isnan(opts.t1) ? nav.t_max() : opts.t1;
-  if (nav.window_payload_bytes(a, b) > opts.lod_payload_budget)
-    return render_preview_lod(nav, opts);
-
   RenderSource src;
   src.nranks = nav.nranks();
   src.t_min = nav.t_min();
   src.t_max = nav.t_max();
   src.categories = &nav.categories();
-  src.visit = [&nav, &opts](double wa, double wb, const StateCb& on_state,
-                            const EventCb& on_event, const ArrowCb& on_arrow) {
-    nav.visit_window(wa, wb, on_state, on_event, on_arrow, opts.threads);
+  src.visit = [&nav, &opts](double a, double b, const StateFn& on_state,
+                            const EventFn& on_event, const ArrowFn& on_arrow) {
+    nav.visit_window(a, b, on_state, on_event, on_arrow, opts.threads);
   };
-  const auto& cats = nav.categories();
-  return render_timeline(src, opts, [&cats](std::string& svg, int plot_bottom) {
-    swatch_legend(svg, plot_bottom, cats);
-  });
+  src.payload_bytes = [&nav](double a, double b) {
+    return nav.window_payload_bytes(a, b);
+  };
+  src.preview = [&nav](double a, double b) { return nav.preview_covering(a, b); };
+  return render_svg(src, opts);
 }
 
 void render_to_file(const std::filesystem::path& path, slog2::Navigator& nav,

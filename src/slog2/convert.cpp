@@ -116,47 +116,14 @@ std::unique_ptr<Frame> build_frame(Collected items, double a, double b, int dept
 
 namespace {
 
+using detail::add_event_count;
+using detail::add_occupancy;
 using detail::Collected;
 using detail::EventIdIndex;
 using detail::InstKey;
 using detail::kMaxWarningMessages;
 using detail::OpenState;
 using detail::warn;
-
-void add_occupancy(Preview& pv, double node_t0, double node_t1, std::int32_t cat,
-                   double s, double e) {
-  if (pv.nbuckets <= 0 || node_t1 <= node_t0) return;
-  auto& buckets = pv.state_occupancy[cat];
-  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(pv.nbuckets), 0.0F);
-  const double width = (node_t1 - node_t0) / pv.nbuckets;
-  const double lo = std::max(s, node_t0);
-  const double hi = std::min(e, node_t1);
-  if (hi <= lo) return;
-  auto first = static_cast<int>((lo - node_t0) / width);
-  auto last = static_cast<int>((hi - node_t0) / width);
-  first = std::clamp(first, 0, pv.nbuckets - 1);
-  last = std::clamp(last, 0, pv.nbuckets - 1);
-  for (int i = first; i <= last; ++i) {
-    const double b0 = node_t0 + i * width;
-    const double b1 = b0 + width;
-    const double overlap = std::min(hi, b1) - std::max(lo, b0);
-    if (overlap > 0)
-      buckets[static_cast<std::size_t>(i)] += static_cast<float>(overlap);
-  }
-}
-
-void add_event_count(Preview& pv, double node_t0, double node_t1, std::int32_t cat,
-                     double t) {
-  if (pv.nbuckets <= 0) return;
-  auto& buckets = pv.event_counts[cat];
-  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(pv.nbuckets), 0);
-  int idx = 0;
-  if (node_t1 > node_t0)
-    idx = std::clamp(static_cast<int>((t - node_t0) / (node_t1 - node_t0) *
-                                      pv.nbuckets),
-                     0, pv.nbuckets - 1);
-  buckets[static_cast<std::size_t>(idx)]++;
-}
 
 // Every drawable contributes to the preview of its own frame and of every
 // ancestor, so any node's preview summarizes its whole subtree. Instead of

@@ -5,9 +5,12 @@
 // byte-identical to the offline converter on the same records.
 //
 // Everything here is an implementation detail: the stable surface is
-// slog2.hpp. Do not include this header outside src/slog2 and src/traced.
+// slog2.hpp. Do not include this header outside src/slog2, src/traced, and
+// src/jumpshot (whose outline form fills window previews with the same
+// bucket helpers).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -100,6 +103,44 @@ std::size_t state_bytes(const StateDrawable& s);
 std::size_t event_bytes(const EventDrawable& e);
 inline constexpr std::size_t kArrowBytes =
     2 * sizeof(double) + 3 * sizeof(std::int32_t) + 4;
+
+/// Preview bucket helpers: add a state's busy time over [s, e], or one
+/// event instance at `t`, to `pv`'s buckets spanning [node_t0, node_t1].
+/// Defined here so the per-drawable preview fill loops inline them.
+inline void add_occupancy(Preview& pv, double node_t0, double node_t1,
+                          std::int32_t cat, double s, double e) {
+  if (pv.nbuckets <= 0 || node_t1 <= node_t0) return;
+  auto& buckets = pv.state_occupancy[cat];
+  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(pv.nbuckets), 0.0F);
+  const double width = (node_t1 - node_t0) / pv.nbuckets;
+  const double lo = std::max(s, node_t0);
+  const double hi = std::min(e, node_t1);
+  if (hi <= lo) return;
+  auto first = static_cast<int>((lo - node_t0) / width);
+  auto last = static_cast<int>((hi - node_t0) / width);
+  first = std::clamp(first, 0, pv.nbuckets - 1);
+  last = std::clamp(last, 0, pv.nbuckets - 1);
+  for (int i = first; i <= last; ++i) {
+    const double b0 = node_t0 + i * width;
+    const double b1 = b0 + width;
+    const double overlap = std::min(hi, b1) - std::max(lo, b0);
+    if (overlap > 0)
+      buckets[static_cast<std::size_t>(i)] += static_cast<float>(overlap);
+  }
+}
+
+inline void add_event_count(Preview& pv, double node_t0, double node_t1,
+                            std::int32_t cat, double t) {
+  if (pv.nbuckets <= 0) return;
+  auto& buckets = pv.event_counts[cat];
+  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(pv.nbuckets), 0);
+  int idx = 0;
+  if (node_t1 > node_t0)
+    idx = std::clamp(static_cast<int>((t - node_t0) / (node_t1 - node_t0) *
+                                      pv.nbuckets),
+                     0, pv.nbuckets - 1);
+  buckets[static_cast<std::size_t>(idx)]++;
+}
 
 /// Recursive bounded-frame builder: drawables that fit entirely inside a
 /// child half-interval sink down until the payload fits the frame-size

@@ -103,6 +103,32 @@ FrameCache::Owner FrameCache::fresh_owner() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+namespace {
+
+// Path owners: the newest generation of each canonical path (a registry,
+// not a hash, so two files can never collide into one owner), and the
+// number of holders of every owner still in use.
+struct PathRegistry {
+  struct Generation {
+    std::string identity;
+    FrameCache::Owner owner = 0;
+  };
+  struct Holders {
+    std::size_t count = 0;
+    bool retired = false;
+  };
+  std::mutex mu;
+  std::map<std::string, Generation> current;
+  std::map<FrameCache::Owner, Holders> holders;
+};
+
+PathRegistry& path_registry() {
+  static auto* registry = new PathRegistry();
+  return *registry;
+}
+
+}  // namespace
+
 FrameCache::Owner FrameCache::owner_for_path(const std::filesystem::path& path) {
   std::error_code ec;
   std::filesystem::path canon = std::filesystem::weakly_canonical(path, ec);
@@ -113,29 +139,40 @@ FrameCache::Owner FrameCache::owner_for_path(const std::filesystem::path& path) 
   const auto t = std::filesystem::last_write_time(path, ec);
   if (!ec) mtime = static_cast<long long>(t.time_since_epoch().count());
   const std::string identity = std::to_string(size) + '|' + std::to_string(mtime);
-  // One generation per canonical path (a registry, not a hash, so two files
-  // can never collide into one owner). A rewrite — new size or mtime — gets
-  // a fresh owner, and the previous generation's frames are dropped: no new
-  // navigator can ask for them.
-  struct Generation {
-    std::string identity;
-    Owner owner = 0;
-  };
-  static std::mutex reg_mu;
-  static auto* registry = new std::map<std::string, Generation>();
+  // A rewrite — new size or mtime — gets a fresh owner, and the previous
+  // generation's frames are dropped: no new holder can ask for them. Its
+  // remaining holders may still decode frames under it; the last of them
+  // to let go erases those (release_path_owner).
+  PathRegistry& reg = path_registry();
   Owner retired = 0;
   Owner owner = 0;
   {
-    std::lock_guard<std::mutex> lock(reg_mu);
-    Generation& g = (*registry)[canon.string()];
+    std::lock_guard<std::mutex> lock(reg.mu);
+    PathRegistry::Generation& g = reg.current[canon.string()];
     if (g.owner == 0 || g.identity != identity) {
       retired = g.owner;
-      g = Generation{identity, fresh_owner()};
+      const auto it = reg.holders.find(retired);
+      if (it != reg.holders.end()) it->second.retired = true;
+      g = PathRegistry::Generation{identity, fresh_owner()};
     }
     owner = g.owner;
+    ++reg.holders[owner].count;
   }
   if (retired != 0) global().erase_owner(retired);
   return owner;
+}
+
+void FrameCache::release_path_owner(Owner owner) {
+  PathRegistry& reg = path_registry();
+  bool erase = false;
+  {
+    std::lock_guard<std::mutex> lock(reg.mu);
+    const auto it = reg.holders.find(owner);
+    if (it == reg.holders.end() || --it->second.count > 0) return;
+    erase = it->second.retired;
+    reg.holders.erase(it);
+  }
+  if (erase) global().erase_owner(owner);
 }
 
 }  // namespace slog2

@@ -74,8 +74,15 @@ public:
   /// mtime: concurrent sessions over the same file share decoded frames,
   /// and a rewritten file gets a new id instead of stale frames. Only the
   /// newest generation of a path stays registered; asking for a new one
-  /// erases the previous generation's frames from the global cache.
+  /// erases the previous generation's frames from the global cache. Each
+  /// call counts one holder of the returned owner; pair it with
+  /// release_path_owner().
   static Owner owner_for_path(const std::filesystem::path& path);
+
+  /// Drop one holder of a path owner. When the last holder of a retired
+  /// generation lets go, the frames it decoded after the rewrite are erased
+  /// too — nothing can ask for them again.
+  static void release_path_owner(Owner owner);
 
 private:
   struct Key {

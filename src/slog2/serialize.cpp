@@ -531,8 +531,12 @@ Navigator::Navigator(std::vector<std::uint8_t> bytes, const ReadOptions& ro)
 
 Navigator::~Navigator() {
   // A private (in-memory) owner's frames can never be requested again;
-  // file-keyed frames stay for the next session over the same file.
-  if (private_owner_) FrameCache::global().erase_owner(owner_);
+  // file-keyed frames stay for the next session over the same file, unless
+  // the file has been rewritten since and this was its last navigator.
+  if (private_owner_)
+    FrameCache::global().erase_owner(owner_);
+  else
+    FrameCache::release_path_owner(owner_);
 }
 
 FrameEncoding Navigator::encoding() const { return dir_->encoding; }

@@ -221,15 +221,24 @@ void OnlineConverter::admit_msg(const clog2::MsgRec& m) {
   }
 }
 
-void OnlineConverter::note_tail(double lo, double hi, std::uint64_t bytes) {
-  if (!tail_any_) {
-    tail_lo_ = lo;
-    tail_hi_ = hi;
-    tail_any_ = true;
+namespace {
+
+void widen(double lo, double hi, double& span_lo, double& span_hi, bool& any) {
+  if (!any) {
+    span_lo = lo;
+    span_hi = hi;
+    any = true;
   } else {
-    tail_lo_ = std::min(tail_lo_, lo);
-    tail_hi_ = std::max(tail_hi_, hi);
+    span_lo = std::min(span_lo, lo);
+    span_hi = std::max(span_hi, hi);
   }
+}
+
+}  // namespace
+
+void OnlineConverter::note_tail(double lo, double hi, std::uint64_t bytes) {
+  widen(lo, hi, tail_lo_, tail_hi_, tail_any_);
+  widen(lo, hi, committed_lo_, committed_hi_, committed_any_);
   tail_bytes_ += bytes;
 }
 
@@ -331,6 +340,18 @@ void OnlineConverter::visit_window(
                            on_event, on_arrow);
 }
 
+std::uint64_t OnlineConverter::window_payload_bytes(double a, double b) const {
+  std::uint64_t bytes = 0;
+  for (const Chunk& c : chunks_)
+    if (!(c.t_hi < a || c.t_lo > b)) bytes += c.length;
+  if (!tail_any_ || tail_hi_ < a || tail_lo_ > b) return bytes;
+  // The tail in frame-payload terms (its live accounting counts in-memory
+  // object sizes, about three times the encoded rows).
+  for (const auto& s : tail_states_) bytes += detail2::state_bytes(s);
+  for (const auto& e : tail_events_) bytes += detail2::event_bytes(e);
+  return bytes + tail_arrows_.size() * detail2::kArrowBytes;
+}
+
 slog2::detail::Collected OnlineConverter::collect_all() {
   detail2::Collected all;
   std::uint64_t ns = tail_states_.size(), ne = tail_events_.size(),
@@ -365,22 +386,6 @@ void OnlineConverter::fill_pairing_stats(slog2::ConvertStats& stats) const {
     stats.unmatched_sends += q.sends.size();
     stats.unmatched_recvs += q.recvs.size();
   }
-}
-
-slog2::File OnlineConverter::snapshot() {
-  if (!begun_) throw util::UsageError("OnlineConverter::snapshot before begin()");
-  slog2::File out;
-  out.nranks = nranks_;
-  out.frame_size = opts_.convert.frame_size;
-  out.encoding = opts_.convert.encoding;
-  out.categories = categories_;
-  fill_pairing_stats(out.stats);
-  detail2::Collected items = collect_all();
-  const bool any = !items.states.empty() || !items.events.empty() ||
-                   !items.arrows.empty();
-  detail2::assemble(out, std::move(items), any, opts_.convert,
-                    util::resolve_threads(opts_.convert.threads), nullptr);
-  return out;
 }
 
 slog2::File OnlineConverter::finalize(std::vector<std::string>* warnings) {

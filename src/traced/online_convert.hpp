@@ -16,9 +16,12 @@
 //     (when a spill path is configured) written to disk,
 //   * what remains resident is the tail, the reorder heap, per-rank open
 //     state stacks, unmatched message halves, and the chunk directory.
-// finalize() streams the sealed chunks back in commit order, so the full
-// trace is materialized only at the moment the offline converter would
-// have materialized it anyway.
+// Mid-stream, visit_window() reads the sealed chunks that meet a window
+// (through the shared FrameCache) plus the tail, so live queries and
+// renders cost O(window), not O(stream so far). finalize() streams the
+// sealed chunks back in commit order, so the full trace is materialized
+// only at the moment the offline converter would have materialized it
+// anyway.
 #pragma once
 
 #include <cstdint>
@@ -112,11 +115,16 @@ public:
                     const std::function<void(const slog2::EventDrawable&)>& on_event,
                     const std::function<void(const slog2::ArrowDrawable&)>& on_arrow);
 
-  /// Build a renderable SLOG-2 file from every *committed* drawable — the
-  /// live prefix of the trace. Still-open states and unmatched message
-  /// halves are not included (they have no end yet). The converter keeps
-  /// running; snapshot() can be called any number of times mid-stream.
-  [[nodiscard]] slog2::File snapshot();
+  /// Time span of every committed drawable — the axis a live render draws
+  /// when it names no window. Both are 0 before the first commit.
+  [[nodiscard]] double committed_t_min() const { return committed_lo_; }
+  [[nodiscard]] double committed_t_max() const { return committed_hi_; }
+
+  /// Payload bytes a visit_window(a, b) touches: the encoded length of every
+  /// sealed chunk meeting [a, b], plus the tail's frame-payload size when
+  /// the tail meets it. Decodes nothing, so a renderer can pick the outline
+  /// form before paying for a detailed window.
+  [[nodiscard]] std::uint64_t window_payload_bytes(double a, double b) const;
 
   /// Flush the reorder heap, close dangling states, and run the shared
   /// conversion tail. The result is byte-identical (after slog2::serialize)
@@ -195,6 +203,8 @@ private:
   std::uint64_t tail_bytes_ = 0;
   double tail_lo_ = 0.0, tail_hi_ = 0.0;
   bool tail_any_ = false;
+  double committed_lo_ = 0.0, committed_hi_ = 0.0;  // every commit so far
+  bool committed_any_ = false;
 
   // Sealed chunks + spill file (append-only). Decoded chunks live in the
   // process-wide slog2::FrameCache under this converter's private owner id,

@@ -43,6 +43,23 @@ std::string error_line(const std::string& msg) {
 
 }  // namespace
 
+std::string render_live(OnlineConverter& conv, const jumpshot::RenderOptions& opts) {
+  jumpshot::RenderSource src;
+  src.nranks = conv.nranks();
+  src.t_min = conv.committed_t_min();
+  src.t_max = conv.committed_t_max();
+  src.categories = &conv.categories();
+  src.visit = [&conv](double a, double b, const jumpshot::StateFn& on_state,
+                      const jumpshot::EventFn& on_event,
+                      const jumpshot::ArrowFn& on_arrow) {
+    conv.visit_window(a, b, on_state, on_event, on_arrow);
+  };
+  src.payload_bytes = [&conv](double a, double b) {
+    return conv.window_payload_bytes(a, b);
+  };
+  return jumpshot::render_svg(src, opts);
+}
+
 Service::Service(const ServiceOptions& opts)
     : opts_(opts),
       sessions_(opts.max_sessions),
@@ -242,16 +259,17 @@ std::string Service::dispatch(
     auto s = need_session();
     if (req.has("sync") && req.boolean("sync")) pool_.drain();
     std::string svg;
-    s->with_converter([&](OnlineConverter& conv) {
-      slog2::File snap = conv.snapshot();
-      slog2::Navigator nav(slog2::serialize(snap));
-      jumpshot::RenderOptions ro;
-      if (req.has("t0")) ro.t0 = req.fnum("t0");
-      if (req.has("t1")) ro.t1 = req.fnum("t1");
-      ro.width = static_cast<int>(req.num_or("width", ro.width));
-      ro.title = req.str_or("title", "live: " + s->name());
-      svg = jumpshot::render_svg(nav, ro);
-    });
+    jumpshot::RenderOptions ro;
+    if (req.has("t0")) ro.t0 = req.fnum("t0");
+    if (req.has("t1")) ro.t1 = req.fnum("t1");
+    // Clamped, not truncated: an out-of-range int64 must stay out of range
+    // for the renderer's width check.
+    const std::int64_t width = req.num_or("width", ro.width);
+    ro.width = static_cast<int>(
+        std::clamp<std::int64_t>(width, std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::max()));
+    ro.title = req.str_or("title", "live: " + s->name());
+    s->with_converter([&](OnlineConverter& conv) { svg = render_live(conv, ro); });
     return JsonWriter()
         .field("ok", true)
         .field("bytes", static_cast<std::uint64_t>(svg.size()))
@@ -424,7 +442,8 @@ void serve(Service& service, util::UnixListener& listener,
           if (service.shutdown_requested()) break;
         }
       } catch (const util::Error&) {
-        // Connection-fatal (payload desync, peer vanished): drop the client.
+        // Connection-fatal (payload desync, a request line over the
+        // UnixConn::kMaxLineBytes cap, peer vanished): drop the client.
       }
       std::lock_guard<std::mutex> lock(conn_mu);
       live_fds.erase(std::remove(live_fds.begin(), live_fds.end(), my_fd),

@@ -16,10 +16,19 @@
 #include <string>
 #include <vector>
 
+#include "jumpshot/render.hpp"
 #include "traced/session.hpp"
 #include "util/net.hpp"
 
 namespace traced {
+
+/// Draw a live session's committed prefix with the jumpshot timeline core,
+/// straight from the converter: sealed chunks that meet the window (through
+/// the shared FrameCache) plus the in-memory tail, so a fixed window costs
+/// the same early and late in a stream. Without t0/t1 the axis is the
+/// committed span; a window over RenderOptions::lod_payload_budget is drawn
+/// in outline form. The render op is this call under the session's lock.
+std::string render_live(OnlineConverter& conv, const jumpshot::RenderOptions& opts);
 
 struct ServiceOptions {
   OnlineOptions online;          ///< per-session converter defaults

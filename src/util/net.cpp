@@ -122,13 +122,17 @@ void UnixConn::write_all(const void* buf, std::size_t n) {
 
 bool UnixConn::read_line(std::string* line) {
   line->clear();
-  for (;;) {
-    const std::size_t nl = rbuf_.find('\n');
-    if (nl != std::string::npos) {
+  for (std::size_t scanned = 0;;) {
+    const std::size_t nl = rbuf_.find('\n', scanned);
+    if (nl != std::string::npos && nl <= kMaxLineBytes) {
       line->assign(rbuf_, 0, nl);
       rbuf_.erase(0, nl + 1);
       return true;
     }
+    if (std::min(nl, rbuf_.size()) > kMaxLineBytes)
+      throw IoError("request line exceeds " + std::to_string(kMaxLineBytes) +
+                    " bytes without a newline");
+    scanned = rbuf_.size();
     char tmp[4096];
     if (fd_ < 0) throw IoError("read on closed connection");
     ssize_t r;

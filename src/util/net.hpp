@@ -42,11 +42,18 @@ public:
   /// Write all `n` bytes (SIGPIPE suppressed; a closed peer is IoError).
   void write_all(const void* buf, std::size_t n);
 
+  /// Longest line read_line() accepts, newline excluded.
+  static constexpr std::size_t kMaxLineBytes = 1024 * 1024;
+
   /// Read one '\n'-terminated line (newline stripped). Returns false on
   /// clean EOF before any byte of a line. Bytes past the newline stay
   /// buffered for the next call — callers interleaving read_line with
-  /// read_exact must go through this object only.
+  /// read_exact must go through this object only. A line longer than
+  /// kMaxLineBytes is an IoError once the cap is passed, so a peer that
+  /// never sends '\n' cannot grow the buffer without bound.
   bool read_line(std::string* line);
+  /// Bytes read from the socket but not yet returned.
+  [[nodiscard]] std::size_t buffered_bytes() const { return rbuf_.size(); }
   /// Binary payload read that honours the read_line buffer.
   bool read_payload(void* buf, std::size_t n);
   void write_line(const std::string& line);

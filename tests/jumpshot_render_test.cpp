@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "jumpshot/search.hpp"
+#include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/prng.hpp"
 
@@ -110,6 +111,24 @@ TEST(Render, EmptyFileStillRenders) {
   const std::string svg = jumpshot::render_svg(file);
   EXPECT_NE(svg.find("<svg"), std::string::npos);
   EXPECT_NE(svg.find("</svg>"), std::string::npos);
+}
+
+TEST(Render, RejectsOutOfRangeWidth) {
+  // The check runs before anything is sized by the width: a tiny trace has
+  // no outline rows, so an unchecked width would only draw a huge canvas.
+  util::TempDir dir;
+  const auto file = slog2::convert(demo_trace());
+  slog2::write_file(dir.file("t.slog2"), file);
+  slog2::Navigator nav(dir.file("t.slog2"));
+  for (const int width : {0, -5, jumpshot::kMaxRenderWidth + 1, 2000000000}) {
+    jumpshot::RenderOptions opts;
+    opts.width = width;
+    EXPECT_THROW((void)jumpshot::render_svg(file, opts), util::UsageError) << width;
+    EXPECT_THROW((void)jumpshot::render_svg(nav, opts), util::UsageError) << width;
+  }
+  jumpshot::RenderOptions widest;
+  widest.width = jumpshot::kMaxRenderWidth;
+  EXPECT_NE(jumpshot::render_svg(file, widest).find("<svg"), std::string::npos);
 }
 
 TEST(Render, WritesFile) {

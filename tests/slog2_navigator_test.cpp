@@ -178,6 +178,31 @@ TEST(FrameCache, RewriteRetiresPreviousGeneration) {
   cache.clear();
 }
 
+TEST(FrameCache, RetiredGenerationErasedWhenLastNavigatorCloses) {
+  auto& cache = slog2::FrameCache::global();
+  cache.clear();
+  util::TempDir dir;
+  const auto path = dir.file("t.slog2");
+  slog2::write_file(path, small_frames(300, 1));
+  std::size_t second = 0;
+  {
+    // A navigator on the first generation outlives the rewrite and keeps
+    // decoding under the retired owner (write_file renames a new inode
+    // over the path, so its mapping still holds the old bytes).
+    slog2::Navigator old_nav(path);
+    slog2::write_file(path, small_frames(400, 2));
+    second = decode_all(path);
+    EXPECT_EQ(cache.stats().bytes, second);
+    for (std::size_t i = 0; i < old_nav.total_frames(); ++i) (void)old_nav.frame_ptr(i);
+    EXPECT_GT(cache.stats().bytes, second);
+  }
+  // Its last navigator closed: only the live generation stays resident.
+  EXPECT_EQ(cache.stats().bytes, second);
+  EXPECT_EQ(decode_all(path), second);
+  EXPECT_EQ(cache.stats().bytes, second);
+  cache.clear();
+}
+
 TEST(Navigator, EmptyTrace) {
   clog2::File empty;
   empty.nranks = 0;

@@ -8,12 +8,17 @@
 // parsed file. TracedScale repeats this at 10^6 events (see also
 // pipeline_scale_test for the offline pipeline at that size).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -29,6 +34,7 @@
 #include "traced/session.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/net.hpp"
 
 namespace {
 
@@ -553,6 +559,223 @@ TEST(Traced, ServiceEndToEndInProcess) {
   EXPECT_EQ(sw.num("evicted"), 1);
   EXPECT_EQ(sw.str("names"), "tmp");
   EXPECT_FALSE(ok(client.request(R"({"op":"unknown-op"})")));
+}
+
+// The lines of an SVG document, sorted: the live render draws in commit
+// order and a render of the offline file in frame-tree order, so only the
+// multiset of drawn lines is comparable.
+std::vector<std::string> sorted_lines(const std::string& svg) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = svg.find('\n', start)) != std::string::npos; start = nl + 1)
+    lines.push_back(svg.substr(start, nl - start));
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+std::string feed_line(const std::string& session, std::size_t n) {
+  return traced::JsonWriter()
+      .field("op", "feed")
+      .field("session", session)
+      .field("bytes", static_cast<std::uint64_t>(n))
+      .done();
+}
+
+TEST(Traced, LiveRenderEqualsOfflinePrefix) {
+  util::TempDir tmp("traced");
+  const auto bytes = tracegen_bytes(4000, 4, 13);
+  const clog2::File parsed = clog2::parse(bytes);
+  const std::vector<std::uint8_t> prefix(
+      bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(bytes.size() * 3 / 5));
+
+  for (const auto enc : {slog2::FrameEncoding::kV1, slog2::FrameEncoding::kV2}) {
+    for (const bool spill : {false, true}) {
+      const std::string label =
+          std::string(slog2::to_string(enc)) + (spill ? " spill" : " in-memory");
+      traced::ServiceOptions so;
+      so.workers = 1;
+      so.online.seal_bytes = 8 * 1024;  // several sealed chunks in the prefix
+      so.online.max_disorder = 1e-6;    // sorted stream; admit eagerly
+      so.online.convert.encoding = enc;
+      if (spill) so.online.spill_dir = tmp.file("spill");
+      traced::Service svc(so);
+      ProtoClient client(svc);
+      ASSERT_TRUE(client.request(R"({"op":"open","session":"run"})").boolean("ok"));
+      ASSERT_TRUE(client.request(feed_line("run", prefix.size()), prefix).boolean("ok"));
+      const auto st = client.request(R"({"op":"status","session":"run","sync":true})");
+      ASSERT_EQ(st.str("phase"), "open") << label;
+      ASSERT_GT(st.num("sealed_chunks"), 1) << label;
+      const double frontier = st.fnum("frontier");
+
+      // Oracle: the offline file restricted to drawables whose commit
+      // instant (state end, event time, later message half) lies strictly
+      // before the frontier; its span is the committed span.
+      const slog2::File offline = slog2::convert(parsed, so.online.convert);
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -lo;
+      std::map<std::int32_t, std::size_t> states_per_rank;
+      offline.visit_window(
+          -1e300, 1e300,
+          [&](const slog2::StateDrawable& s) {
+            if (s.end_time >= frontier) return;
+            lo = std::min(lo, s.start_time);
+            hi = std::max(hi, s.end_time);
+            ++states_per_rank[s.rank];
+          },
+          [&](const slog2::EventDrawable& e) {
+            if (e.time >= frontier) return;
+            lo = std::min(lo, e.time);
+            hi = std::max(hi, e.time);
+          },
+          [&](const slog2::ArrowDrawable& a) {
+            if (std::max(a.start_time, a.end_time) >= frontier) return;
+            lo = std::min(lo, std::min(a.start_time, a.end_time));
+            hi = std::max(hi, std::max(a.start_time, a.end_time));
+          });
+      ASSERT_LT(lo, hi) << label;
+      // Every row is drawn as rectangles (no per-row striping, whose float
+      // sums depend on draw order), so the line multisets must be equal.
+      for (const auto& [rank, n] : states_per_rank)
+        ASSERT_LE(n, jumpshot::RenderOptions{}.preview_threshold) << label;
+      jumpshot::RenderSource oracle;
+      oracle.nranks = offline.nranks;
+      oracle.t_min = lo;
+      oracle.t_max = hi;
+      oracle.categories = &offline.categories;
+      oracle.visit = [&](double a, double b, const jumpshot::StateFn& on_state,
+                         const jumpshot::EventFn& on_event,
+                         const jumpshot::ArrowFn& on_arrow) {
+        offline.visit_window(
+            a, b,
+            [&](const slog2::StateDrawable& s) {
+              if (s.end_time < frontier) on_state(s);
+            },
+            [&](const slog2::EventDrawable& e) {
+              if (e.time < frontier) on_event(e);
+            },
+            [&](const slog2::ArrowDrawable& ar) {
+              if (std::max(ar.start_time, ar.end_time) < frontier) on_arrow(ar);
+            });
+      };
+
+      const double span = hi - lo;
+      struct Window {
+        const char* name;
+        double t0, t1;
+      };
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      for (const Window w : {Window{"narrow", frontier - span / 50, frontier},
+                             Window{"wide", lo + span / 10, frontier},
+                             Window{"whole prefix", nan, nan}}) {
+        traced::JsonWriter req;
+        req.field("op", "render").field("session", "run");
+        if (!std::isnan(w.t0)) req.field("t0", w.t0).field("t1", w.t1);
+        const auto rr = client.request(req.done());
+        ASSERT_TRUE(rr.boolean("ok")) << label << " " << w.name;
+        const std::string live = rr.str("svg");
+        EXPECT_EQ(live.find("preview-lod"), std::string::npos) << label << " " << w.name;
+        jumpshot::RenderOptions ro;
+        ro.t0 = w.t0;
+        ro.t1 = w.t1;
+        ro.title = "live: run";
+        EXPECT_EQ(sorted_lines(live), sorted_lines(jumpshot::render_svg(oracle, ro)))
+            << label << " " << w.name;
+      }
+
+      // Over budget: the outline form of the window, no drawable drawn.
+      auto session = svc.sessions().find("run");
+      ASSERT_TRUE(session);
+      std::string outline;
+      session->with_converter([&](traced::OnlineConverter& conv) {
+        jumpshot::RenderOptions ro;
+        ro.t0 = frontier - span / 50;
+        ro.t1 = frontier;
+        ro.lod_payload_budget = 1;
+        outline = traced::render_live(conv, ro);
+      });
+      EXPECT_NE(outline.find("<!-- preview-lod -->"), std::string::npos) << label;
+      EXPECT_NE(outline.find("outline form:"), std::string::npos) << label;
+      for (const char* per_drawable : {"<title>", "<circle", "marker-end"})
+        EXPECT_EQ(outline.find(per_drawable), std::string::npos) << label << " " << per_drawable;
+    }
+  }
+}
+
+TEST(Traced, RenderRejectsOutOfRangeWidth) {
+  traced::ServiceOptions so;
+  so.workers = 1;
+  traced::Service svc(so);
+  ProtoClient client(svc);
+  const auto bytes = util::read_file(fixture("tiny.clog2"));
+  ASSERT_TRUE(client.request(R"({"op":"open","session":"run"})").boolean("ok"));
+  ASSERT_TRUE(client.request(feed_line("run", bytes.size()), bytes).boolean("ok"));
+  for (const char* width : {"0", "-1", "65537", "2000000000", "8589934592"}) {
+    const auto rr = client.request(std::string(R"({"op":"render","session":"run","sync":true,"width":)") +
+                                   width + "}");
+    EXPECT_FALSE(rr.boolean("ok")) << width;
+    EXPECT_NE(rr.str_or("error", "").find("width"), std::string::npos) << width;
+  }
+  EXPECT_TRUE(client.request(R"({"op":"render","session":"run","width":700})").boolean("ok"));
+}
+
+TEST(Traced, RequestLineOverCapIsNamedError) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  util::UnixConn reader(fds[0]);
+  util::UnixConn writer(fds[1]);
+  // Twice the cap with no newline; the writer fails once the reader hangs up.
+  std::thread feeder([&writer] {
+    const std::string junk(2 * util::UnixConn::kMaxLineBytes, 'x');
+    try {
+      writer.write_all(junk.data(), junk.size());
+    } catch (const util::IoError&) {
+    }
+  });
+  std::string line;
+  try {
+    (void)reader.read_line(&line);
+    ADD_FAILURE() << "an unterminated line past the cap was accepted";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("without a newline"), std::string::npos) << e.what();
+  }
+  EXPECT_LE(reader.buffered_bytes(), util::UnixConn::kMaxLineBytes + 4096);
+  EXPECT_TRUE(line.empty());
+  reader.close();
+  feeder.join();
+}
+
+TEST(Traced, ServeDropsConnectionOnOverlongLine) {
+  util::TempDir tmp("traced");
+  traced::ServiceOptions so;
+  so.workers = 1;
+  traced::Service svc(so);
+  util::UnixListener listener(tmp.file("d.sock"));
+  std::thread daemon([&] { traced::serve(svc, listener, {}); });
+
+  util::UnixConn hostile = util::UnixConn::connect_to(tmp.file("d.sock"));
+  std::thread feeder([&hostile] {
+    const std::string junk(2 * util::UnixConn::kMaxLineBytes, 'x');
+    try {
+      hostile.write_all(junk.data(), junk.size());
+    } catch (const util::IoError&) {
+    }
+  });
+  char byte = 0;
+  // The daemon closes the connection without a reply (a reset when it
+  // leaves unread junk behind).
+  const ssize_t r = ::recv(hostile.fd(), &byte, 1, 0);
+  EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET)) << r;
+  feeder.join();
+
+  // It keeps serving everyone else.
+  util::UnixConn conn = util::UnixConn::connect_to(tmp.file("d.sock"));
+  conn.write_line(R"({"op":"ping"})");
+  std::string resp;
+  ASSERT_TRUE(conn.read_line(&resp));
+  EXPECT_TRUE(traced::JsonObject::parse(resp).boolean("ok"));
+  conn.write_line(R"({"op":"shutdown"})");
+  ASSERT_TRUE(conn.read_line(&resp));
+  daemon.join();
 }
 
 TEST(Traced, ServiceFailedStreamSurfacesError) {

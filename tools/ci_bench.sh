@@ -19,8 +19,10 @@
 # A fourth gate runs bench_traced and compares single-session streaming
 # ingest throughput against bench/baseline_traced.json; the bench itself
 # exits nonzero when the online converter's output diverges from the
-# offline converter or its live memory exceeds the documented bound, so
-# this leg guards the pilot-traced correctness canaries too.
+# offline converter, its live memory exceeds the documented bound, or a
+# fixed live-edge render window costs more than 3x as much at the end of
+# the stream as at a quarter of it, so this leg guards the pilot-traced
+# correctness and render-cost canaries too.
 #
 # A fifth gate runs bench_compress and holds the v2 frame-payload
 # compression ratio to its absolute 3x floor plus the usual 2x decode
@@ -123,7 +125,8 @@ fi
 
 # Streaming-ingest gate: the online converter must keep its byte-identity
 # canary (the bench exits nonzero otherwise), stay within its live-memory
-# bound, and hold single-session ingest throughput within 2x of baseline.
+# bound, keep live render cost flat as the stream grows, and hold
+# single-session ingest throughput within 2x of baseline.
 (cd "$RUN_DIR" && "$OLDPWD/build/bench/bench_traced" --small="$SMALL")
 
 MATCHES=$(sed -n 's/^  "online_matches_offline": \(.*\),*$/\1/p' \
